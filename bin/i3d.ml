@@ -5,7 +5,7 @@
    and replication hooks, and a *live* Chord node (join, stabilize,
    fix-fingers, failure detection, partition re-merge) — lives in the
    sans-IO [I3.Engine].  This file owns exactly the things a state
-   machine cannot: a socket, a wall clock, signals, and the metrics
+   machine cannot: a socket, a monotonic clock, signals, and the metrics
    flush on exit.  [Transport.Driver] spends the engine's effects into
    the socket and tells the loop how long it may sleep.
 
@@ -112,11 +112,14 @@ let () =
   end;
   let self_name = Printf.sprintf "%s:%d" !host !port in
   let self_addr = addr_of_name self_name in
-  let started = Unix.gettimeofday () in
+  let started = Monotonic_clock.now () in
   (* The engine is sans-IO: it reads no clock, so the daemon stamps
      every step with ms since process start (the engine's virtual wheel
-     starts at 0). *)
-  let elapsed_ms () = (Unix.gettimeofday () -. started) *. 1000. in
+     starts at 0).  The clock is monotonic: a wall-clock step must not
+     freeze the engine's timers or age its soft state. *)
+  let elapsed_ms () =
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) /. 1e6
+  in
   let registry = Obs.Metrics.default in
   let labels = [ ("instance", self_name) ] in
   let g_triggers = Obs.Metrics.gauge registry ~labels "i3d.triggers" in
@@ -187,11 +190,11 @@ let () =
   let backlog : (int * string) Queue.t = Queue.create () in
   Transport.Udp.set_handler udp (fun ~src bytes ->
       Queue.add (src, bytes) backlog);
-  let drain_backlog () =
+  let drain_backlog ~now =
     if not (Queue.is_empty backlog) then begin
       let datagrams = List.of_seq (Queue.to_seq backlog) in
       Queue.clear backlog;
-      Transport.Driver.on_datagrams driver ~now:(elapsed_ms ()) datagrams
+      Transport.Driver.on_datagrams driver ~now datagrams
     end
   in
 
@@ -237,28 +240,37 @@ let () =
   let next_flush = ref (match flush_period with Some p -> p | None -> infinity) in
 
   Printf.printf "READY %s\n%!" self_name;
+  (* One loop turn: sleep until the socket is readable or the next
+     engine or flush deadline, read the clock once, then spend the turn
+     at that instant.  The sleep is computed from the previous turn's
+     clock reading, so a turn wakes at most one turn's work late. *)
+  let last_now = ref (elapsed_ms ()) in
   while !running do
-    let now = elapsed_ms () in
-    let timeout = Transport.Driver.timeout driver ~now ~cap:0.25 in
+    let timeout = Transport.Driver.timeout driver ~now:!last_now ~cap:0.25 in
     (* Wake no later than the flush deadline, whatever the engine's
        timers say. *)
     let timeout =
-      Float.min timeout (Float.max 0. ((!next_flush -. now) /. 1000.))
+      Float.min timeout (Float.max 0. ((!next_flush -. !last_now) /. 1000.))
     in
-    (* select() returns EINTR when a signal lands mid-wait; treat it as
-       an empty wait so the flag check decides. *)
+    (* [wait] blocks until the socket is readable, then drains every
+       queued datagram into the backlog.  select() returns EINTR when a
+       signal lands mid-wait; treat it as an empty wait so the flag
+       check decides. *)
     (match Transport.Udp.wait udp ~timeout with
     | (_ : bool) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    (* Drain whatever else already arrived, step the engine once with
-       the whole burst, then fire due timers. *)
-    Transport.Udp.poll udp ~now:(elapsed_ms ());
-    drain_backlog ();
-    Option.iter (fun f -> Transport.Faulty.poll f ~now:(elapsed_ms ())) faulty;
-    Transport.Driver.tick driver ~now:(elapsed_ms ());
+    let now = elapsed_ms () in
+    last_now := now;
+    (* Step the engine once with the whole burst.  That step already
+       runs the timer wheel up to [now], so a separate [Tick] is only
+       needed when a deadline is due and no frame arrived to fire it. *)
+    drain_backlog ~now;
+    Option.iter (fun f -> Transport.Faulty.poll f ~now) faulty;
+    (match Transport.Driver.next_due driver with
+    | Some due when due <= now -> Transport.Driver.tick driver ~now
+    | _ -> ());
     match flush_period with
-    | Some period when elapsed_ms () >= !next_flush ->
-        let now = elapsed_ms () in
+    | Some period when now >= !next_flush ->
         ignore (flush_generation ~now);
         next_flush := now +. period
     | _ -> ()

@@ -332,14 +332,15 @@ let read_body kind r : (Message.t, string) result =
   else Error "unknown i3 message kind"
 
 let decode s =
-  let r = Io.reader s in
-  let* () = Io.need r L.preamble_bytes "preamble" in
-  if Char.code s.[L.off_kind] < L.first_kind then
+  if String.length s < L.preamble_bytes then Error "truncated preamble"
+  else if Char.code s.[L.off_kind] < L.first_kind then
     (* Data-packet flags where a kind byte would be: the whole frame is
        a packet.  [Packet.decode] re-checks magic/version itself. *)
-    let* p = Packet.decode s in
-    Ok (Message.Data p)
+    match Packet.decode s with
+    | Ok p -> Ok (Message.Data p)
+    | Error e -> Error e
   else
+    let r = Io.reader s in
     let* () = Io.expect_char r L.magic0 "magic" in
     let* () = Io.expect_char r L.magic1 "magic" in
     let* () = Io.expect_char r L.version "version" in

@@ -129,15 +129,31 @@ let put_entry buf = function
       Buffer.add_char buf L.tag_saddr;
       Io.put_u64 buf (Int64.of_int a)
 
+(* Explicit matches rather than [let*]: this runs once per stack entry
+   of every forwarded packet, and a bind allocates a closure. *)
 let read_entry r =
-  let* tag = Io.u8 r "entry tag" in
-  if tag = Char.code L.tag_sid then
-    let* raw = Io.take r Id.byte_length "entry id" in
-    Ok (Sid (Id.of_raw_string raw))
-  else if tag = Char.code L.tag_saddr then
-    let* a = Io.u64 r "entry addr" in
-    Ok (Saddr (Int64.to_int a))
-  else Error "unknown entry tag"
+  match Io.u8 r "entry tag" with
+  | Error e -> Error e
+  | Ok tag when tag = Char.code L.tag_sid -> (
+      match Io.take r Id.byte_length "entry id" with
+      | Ok raw -> Ok (Sid (Id.of_raw_string raw))
+      | Error e -> Error e)
+  | Ok tag when tag = Char.code L.tag_saddr -> (
+      match Io.u64 r "entry addr" with
+      | Ok a -> Ok (Saddr (Int64.to_int a))
+      | Error e -> Error e)
+  | Ok _ -> Error "unknown entry tag"
+
+(* [count] entries in wire order; [count] is at most [max_stack_depth]. *)
+let rec read_entries r count =
+  if count = 0 then Ok []
+  else
+    match read_entry r with
+    | Error e -> Error e
+    | Ok e -> (
+        match read_entries r (count - 1) with
+        | Ok rest -> Ok (e :: rest)
+        | Error _ as err -> err)
 
 let put_stack buf s =
   Io.put_u8 buf (List.length s);
@@ -146,7 +162,7 @@ let put_stack buf s =
 let read_stack ?(min_depth = 1) r =
   let* count = Io.u8 r "stack count" in
   if count < min_depth || count > max_stack_depth then Error "bad stack depth"
-  else Io.list_of r ~count ~max:max_stack_depth "stack" read_entry
+  else read_entries r count
 
 let encode t =
   let buf = Buffer.create (wire_length t) in
@@ -178,77 +194,83 @@ let encode t =
   | P_slice v -> Io.add_view buf v);
   Buffer.contents buf
 
-(* Shared by [decode] and [decoded_length]: parse the fixed header and
-   return (flags, stack count, ttl, payload_len, sender, prev_addr,
-   trace), leaving the reader at the start of the body. *)
-let read_header r =
-  let* () = Io.need r header_bytes "header" in
-  let* () = Io.expect_char r L.magic0 "magic" in
-  let* () =
-    let* c = Io.u8 r "magic" in
-    if c = Char.code L.magic1 then Ok () else Error "bad magic"
-  in
-  let* () =
-    let* v = Io.u8 r "version" in
-    if v = Char.code L.version then Ok () else Error "unknown version"
-  in
-  let* flags = Io.u8 r "flags" in
-  let* () =
-    if flags >= L.first_kind then Error "not a data packet" else Ok ()
-  in
-  let* count = Io.u8 r "stack count" in
-  let* () =
-    if count >= 1 && count <= max_stack_depth then Ok ()
-    else Error "bad stack depth"
-  in
-  let* ttl = Io.u8 r "ttl" in
-  let* _reserved = Io.u16 r "reserved" in
-  let* payload_len = Io.u32 r "payload length" in
-  let* sender = Io.u64 r "sender" in
-  let* prev_addr = Io.u64 r "prev addr" in
-  let* trace = Io.u64 r "trace id" in
-  let* _reserved = Io.take r L.reserved_bytes "reserved" in
-  Ok (flags, count, ttl, payload_len, sender, prev_addr, trace)
+(* Shared by [decode] and [decoded_length]: validate the fixed header
+   once, in place.  On [Ok ()] every header field may be read straight
+   from its [Wire.Layout] offset; the error strings are those of the
+   field-by-field reader this replaced. *)
+let check_header s =
+  if String.length s < header_bytes then Error "truncated header"
+  else if s.[L.off_magic] <> L.magic0 || s.[L.off_magic + 1] <> L.magic1 then
+    Error "bad magic"
+  else if s.[L.off_version] <> L.version then Error "unknown version"
+  else if Char.code s.[L.off_flags] >= L.first_kind then
+    Error "not a data packet"
+  else
+    let count = Char.code s.[L.off_stack_count] in
+    if count < 1 || count > max_stack_depth then Error "bad stack depth"
+    else Ok ()
+
+let u32_at s off =
+  (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
+
+let int_at s off = Int64.to_int (String.get_int64_be s off)
+
+(* A reader positioned at the body, just past the 48-byte header (the
+   reserved bytes are never read). *)
+let body_reader s =
+  let r = Io.reader s in
+  ignore (Io.skip r header_bytes "header");
+  r
+
+(* [decode] unwraps each body read with [get]; the first failure leaves
+   through [Malformed] (allocated only then) instead of a chain of
+   binds that allocates a closure per field. *)
+exception Malformed of string
+
+let get = function Ok v -> v | Error e -> raise_notrace (Malformed e)
 
 let decode s =
-  let r = Io.reader s in
-  let* flags, count, ttl, payload_len, sender, prev_addr, trace =
-    read_header r
-  in
-  let* prev_trigger =
-    if flags land L.flag_prev_trigger <> 0 then
-      let* raw = Io.take r Id.byte_length "prev trigger id" in
-      Ok (Some (Int64.to_int prev_addr, Id.of_raw_string raw))
-    else Ok None
-  in
-  let* stack = Io.list_of r ~count ~max:max_stack_depth "stack" read_entry in
-  let* payload = Io.take_view r payload_len "payload" in
-  let* () = Io.expect_end r in
-  Ok
-    {
-      stack;
-      payload = { repr = P_slice payload };
-      refresh = flags land L.flag_refresh <> 0;
-      match_required = flags land L.flag_match_required <> 0;
-      sender =
-        (if flags land L.flag_sender <> 0 then Some (Int64.to_int sender)
-         else None);
-      prev_trigger;
-      ttl;
-      trace = Int64.to_int trace;
-    }
+  match check_header s with
+  | Error e -> Error e
+  | Ok () -> (
+      let flags = Char.code s.[L.off_flags] in
+      let r = body_reader s in
+      try
+        let prev_trigger =
+          if flags land L.flag_prev_trigger = 0 then None
+          else
+            let raw = get (Io.take r Id.byte_length "prev trigger id") in
+            Some (int_at s L.off_prev_addr, Id.of_raw_string raw)
+        in
+        let stack = get (read_entries r (Char.code s.[L.off_stack_count])) in
+        let payload =
+          get (Io.take_view r (u32_at s L.off_payload_len) "payload")
+        in
+        get (Io.expect_end r);
+        Ok
+          {
+            stack;
+            payload = { repr = P_slice payload };
+            refresh = flags land L.flag_refresh <> 0;
+            match_required = flags land L.flag_match_required <> 0;
+            sender =
+              (if flags land L.flag_sender <> 0 then Some (int_at s L.off_sender)
+               else None);
+            prev_trigger;
+            ttl = Char.code s.[L.off_ttl];
+            trace = int_at s L.off_trace;
+          }
+      with Malformed e -> Error e)
 
 let decoded_length s =
-  let r = Io.reader s in
-  let* flags, count, _ttl, payload_len, _sender, _prev_addr, _trace =
-    read_header r
-  in
+  let* () = check_header s in
+  let r = body_reader s in
   let* () =
-    if flags land L.flag_prev_trigger <> 0 then
-      let* _ = Io.take r Id.byte_length "prev trigger id" in
-      Ok ()
+    if Char.code s.[L.off_flags] land L.flag_prev_trigger <> 0 then
+      Io.skip r Id.byte_length "prev trigger id"
     else Ok ()
   in
-  let* _stack = Io.list_of r ~count ~max:max_stack_depth "stack" read_entry in
+  let* _stack = read_entries r (Char.code s.[L.off_stack_count]) in
+  let payload_len = u32_at s L.off_payload_len in
   let* () = Io.need r payload_len "payload" in
   Ok (Io.pos r + payload_len)

@@ -125,7 +125,8 @@ val ping : t -> dst:int -> timeout_ms:float -> pong option
 
 val wait : t -> timeout:float -> bool
 (** One blocking receive step ([timeout] in seconds): flush the fault
-    layer's delay queue, then wait for at most one datagram. *)
+    layer's delay queue, then wait until the socket is readable and
+    handle every queued datagram ({!Udp.wait}). *)
 
 val poll : t -> now:float -> unit
 (** The uniform {!Transport.S} maintenance step ([now] in ms on the

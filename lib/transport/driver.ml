@@ -21,7 +21,7 @@ type t = {
   engine : I3.Engine.t;
   send : dst:int -> string -> unit;
   mutable on_effects : I3.Engine.effect list -> unit;
-  mutable next_due : float option;  (* latest Set_timer seen *)
+  mutable next_due : float option;  (* the last step's Set_timer *)
   metrics : Obs.Metrics.t;
   labels : (string * string) list;
   c_frames : Obs.Metrics.counter;
@@ -79,7 +79,10 @@ let count_kind t cache dir bytes =
   in
   Obs.Metrics.incr c
 
+(* Every step reports the engine's earliest deadline as its last
+   effect, or no [Set_timer] at all when the wheel is empty. *)
 let interpret t effects =
+  t.next_due <- None;
   List.iter
     (fun eff ->
       match I3.Engine.encode_effect eff with
@@ -120,11 +123,12 @@ let step_hist t kind =
       h
 
 let step t ~now event =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let effects = I3.Engine.step t.engine ~now event in
+  let t1 = Monotonic_clock.now () in
   Obs.Metrics.observe
     (step_hist t (event_kind event))
-    ((Unix.gettimeofday () -. t0) *. 1000.);
+    (Int64.to_float (Int64.sub t1 t0) /. 1e6);
   interpret t effects
 
 let on_datagram t ~now ~src bytes =

@@ -7,15 +7,20 @@
     Inbound bytes enter through {!on_datagram}, which classifies and
     decodes them ([I3.Engine.decode]) and steps the engine.
 
-    A daemon loop over UDP is:
+    A daemon loop over UDP ([bin/i3d]) is:
     {[
       while running do
-        let now = elapsed_ms () in
+        (* sleeps until readable, then the handler queues every datagram *)
         ignore (Udp.wait udp ~timeout:(Driver.timeout d ~now ~cap:0.25));
-        Udp.poll udp ~now;          (* handler calls on_datagram *)
-        Driver.tick d ~now:(elapsed_ms ())
+        let now = clock () in
+        Driver.on_datagrams d ~now (take_backlog ());
+        match Driver.next_due d with
+        | Some due when due <= now -> Driver.tick d ~now
+        | _ -> ()
       done
-    ]} *)
+    ]}
+    A frame step already fires every timer due by [now], so the loop
+    ticks only when a deadline passed without traffic. *)
 
 type t
 
@@ -38,10 +43,10 @@ val create :
     the registry on first sight of each kind.
 
     Step latency is measured here, not in the engine (the engine is
-    sans-IO and owns no clock): each {!step} observes its wall-clock
-    duration into a [driver.step_ms] histogram labeled by event kind
-    ([event="tick" | "frame" | "batch" | "insert_trigger" |
-    "remove_trigger" | "send_packet"]). *)
+    sans-IO and owns no clock): each {!step} observes its
+    monotonic-clock duration into a [driver.step_ms] histogram labeled
+    by event kind ([event="tick" | "frame" | "batch" |
+    "insert_trigger" | "remove_trigger" | "send_packet"]). *)
 
 val engine : t -> I3.Engine.t
 
@@ -71,7 +76,8 @@ val on_effects : t -> (I3.Engine.effect list -> unit) -> unit
     default: dropped). *)
 
 val next_due : t -> float option
-(** The engine's latest [Set_timer] deadline (engine-clock ms). *)
+(** The deadline the last step announced with [Set_timer]
+    (engine-clock ms); [None] when that step left no timer pending. *)
 
 val timeout : t -> now:float -> cap:float -> float
 (** Seconds the owning loop may block before the next {!tick}: gap to

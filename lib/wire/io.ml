@@ -9,24 +9,16 @@ let ( let* ) = Result.bind
 
 (* --- writing --- *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+let put_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
+let put_u16 buf v = Buffer.add_uint16_be buf (v land 0xffff)
 
-let put_u16 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
+(* Two 16-bit halves rather than [Buffer.add_int32_be], so the value
+   stays an [int] and is never converted to an [Int32]. *)
 let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+  Buffer.add_uint16_be buf ((v lsr 16) land 0xffff);
+  Buffer.add_uint16_be buf (v land 0xffff)
 
-let put_u64 buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done
-
+let put_u64 = Buffer.add_int64_be
 let put_f64 buf v = put_u64 buf (Int64.bits_of_float v)
 
 let put_str16 buf s =
@@ -69,65 +61,78 @@ let view_to_string v =
 
 let add_view buf v = Buffer.add_substring buf v.base v.off v.len
 
+(* The readers below match on the bounds check instead of binding
+   through [let*]: the hot decode path then allocates only the [Ok]. *)
 let need r n what =
   if remaining r >= n then Ok () else Error ("truncated " ^ what)
 
 let u8 r what =
-  let* () = need r 1 what in
-  let v = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  Ok v
+  if remaining r >= 1 then begin
+    let v = String.get_uint8 r.src r.pos in
+    r.pos <- r.pos + 1;
+    Ok v
+  end
+  else Error ("truncated " ^ what)
 
 let u16 r what =
-  let* () = need r 2 what in
-  let v = (Char.code r.src.[r.pos] lsl 8) lor Char.code r.src.[r.pos + 1] in
-  r.pos <- r.pos + 2;
-  Ok v
+  if remaining r >= 2 then begin
+    let v = String.get_uint16_be r.src r.pos in
+    r.pos <- r.pos + 2;
+    Ok v
+  end
+  else Error ("truncated " ^ what)
 
 let u32 r what =
-  let* () = need r 4 what in
-  let p = r.pos in
-  let v =
-    (Char.code r.src.[p] lsl 24)
-    lor (Char.code r.src.[p + 1] lsl 16)
-    lor (Char.code r.src.[p + 2] lsl 8)
-    lor Char.code r.src.[p + 3]
-  in
-  r.pos <- p + 4;
-  Ok v
+  if remaining r >= 4 then begin
+    let p = r.pos in
+    let v =
+      (String.get_uint16_be r.src p lsl 16) lor String.get_uint16_be r.src (p + 2)
+    in
+    r.pos <- p + 4;
+    Ok v
+  end
+  else Error ("truncated " ^ what)
 
 let u64 r what =
-  let* () = need r 8 what in
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc :=
-      Int64.logor (Int64.shift_left !acc 8)
-        (Int64.of_int (Char.code r.src.[r.pos + i]))
-  done;
-  r.pos <- r.pos + 8;
-  Ok !acc
+  if remaining r >= 8 then begin
+    let v = String.get_int64_be r.src r.pos in
+    r.pos <- r.pos + 8;
+    Ok v
+  end
+  else Error ("truncated " ^ what)
 
 let f64 r what =
-  let* bits = u64 r what in
-  Ok (Int64.float_of_bits bits)
+  match u64 r what with
+  | Ok bits -> Ok (Int64.float_of_bits bits)
+  | Error e -> Error e
+
+let skip r n what =
+  if n < 0 then Error ("negative length for " ^ what)
+  else if remaining r >= n then begin
+    r.pos <- r.pos + n;
+    Ok ()
+  end
+  else Error ("truncated " ^ what)
 
 let take r n what =
   if n < 0 then Error ("negative length for " ^ what)
-  else
-    let* () = need r n what in
+  else if remaining r >= n then begin
     let s = String.sub r.src r.pos n in
     r.pos <- r.pos + n;
     Ok s
+  end
+  else Error ("truncated " ^ what)
 
 (* Zero-copy [take]: consume [n] bytes but hand back a borrowed slice of
    the backing buffer instead of a fresh string. *)
 let take_view r n what =
   if n < 0 then Error ("negative length for " ^ what)
-  else
-    let* () = need r n what in
+  else if remaining r >= n then begin
     let v = { base = r.src; off = r.pos; len = n } in
     r.pos <- r.pos + n;
     Ok v
+  end
+  else Error ("truncated " ^ what)
 
 (* Zero-copy sub-reader: consume [n] bytes and return a fresh cursor
    bounded to exactly that range of the same backing buffer, for

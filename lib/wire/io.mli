@@ -65,6 +65,9 @@ val f64 : reader -> string -> (float, string) result
 val take : reader -> int -> string -> (string, string) result
 (** [take r n what] consumes exactly [n] raw bytes. *)
 
+val skip : reader -> int -> string -> (unit, string) result
+(** Like {!take}, but discards the bytes without allocating. *)
+
 val take_view : reader -> int -> string -> (view, string) result
 (** Like {!take}, but returns a borrowed slice instead of copying. *)
 

@@ -40,6 +40,108 @@ let test_udp_poll_drains () =
       Transport.Udp.close a;
       Transport.Udp.close b
 
+(* One [wait] takes the whole queue: a burst from three senders reaches
+   the handler in one call, each datagram with its sender's address and
+   in that sender's order; the drained socket then polls empty at once. *)
+let test_udp_wait_drains_burst () =
+  match (Transport.Udp.create (), List.init 3 (fun _ -> Transport.Udp.create ())) with
+  | exception Unix.Unix_error _ -> ()
+  | b, senders ->
+      let dst = Transport.Udp.local_addr b in
+      let got = ref [] in
+      Transport.Udp.set_handler b (fun ~src bytes -> got := (src, bytes) :: !got);
+      for i = 0 to 47 do
+        Transport.Udp.send (List.nth senders (i mod 3)) ~dst (string_of_int (i / 3))
+      done;
+      (* Loopback queues a datagram within its sendto; the pause only
+         guards against a slow kernel. *)
+      Unix.sleepf 0.05;
+      Alcotest.(check bool) "wait reports arrivals" true
+        (Transport.Udp.wait b ~timeout:1.);
+      Alcotest.(check int) "one wait drains the burst" 48 (List.length !got);
+      let arrived = List.rev !got in
+      List.iter
+        (fun s ->
+          let src = Transport.Udp.local_addr s in
+          Alcotest.(check (list string))
+            "right source, sender order"
+            (List.init 16 string_of_int)
+            (List.filter_map
+               (fun (a, bytes) -> if a = src then Some bytes else None)
+               arrived))
+        senders;
+      let t0 = Unix.gettimeofday () in
+      Transport.Udp.poll b ~now:0.;
+      Alcotest.(check bool) "poll on the empty socket returns at once" true
+        (Unix.gettimeofday () -. t0 < 0.05);
+      Alcotest.(check int) "nothing more arrived" 48 (List.length !got);
+      List.iter Transport.Udp.close (b :: senders)
+
+(* More distinct peers than an address cache holds, in each direction:
+   every send still reaches the socket it names and every arrival still
+   names its true source across the caches' resets.  All of 127/8 is
+   loopback, so each peer gets an address of its own. *)
+let test_udp_address_cache_reset () =
+  match (Transport.Udp.create (), Transport.Udp.create ()) with
+  | exception Unix.Unix_error _ -> ()
+  | a, b ->
+      let module U = Transport.Udp in
+      let peers = U.cache_cap + 64 in
+      let ip i = (127 lsl 24) lor ((1 + (i / 250)) lsl 8) lor (1 + (i mod 250)) in
+      let bind i ~port = U.create ~host:(U.string_of_ip (ip i)) ~port () in
+      (* Send side: [a] sends to [peers] addresses, 64 receivers at a
+         time, all on [a]'s port; each must hear exactly its own. *)
+      let port = U.port_of (U.local_addr a) in
+      for batch = 0 to (peers - 1) / 64 do
+        let ids = List.init 64 (fun k -> (batch * 64) + k) in
+        let rx =
+          List.filter_map
+            (fun i ->
+              if i >= peers then None
+              else
+                let u = bind i ~port and got = ref 0 in
+                U.set_handler u (fun ~src:_ _ -> incr got);
+                Some (u, got))
+            ids
+        in
+        List.iter (fun (u, _) -> U.send a ~dst:(U.local_addr u) "t") rx;
+        let pending () = List.exists (fun (_, got) -> !got = 0) rx in
+        let deadline = Unix.gettimeofday () +. 1. in
+        while pending () && Unix.gettimeofday () < deadline do
+          List.iter (fun (u, _) -> U.poll u ~now:0.) rx;
+          if pending () then Unix.sleepf 0.001
+        done;
+        List.iter
+          (fun (u, got) ->
+            if !got <> 1 then
+              Alcotest.failf "destination %s heard %d datagrams, want 1"
+                (U.string_of_ip (U.ip_of (U.local_addr u)))
+                !got;
+            U.close u)
+          rx
+      done;
+      (* Receive side: [b] hears from [peers] source addresses. *)
+      let heard = ref 0 and named = ref 0 and want = ref (-1) in
+      U.set_handler b (fun ~src _ ->
+          incr heard;
+          if src = !want then incr named);
+      for i = 0 to peers - 1 do
+        let s = bind i ~port:0 in
+        want := U.local_addr s;
+        U.send s ~dst:(U.local_addr b) "r";
+        let before = !heard in
+        let deadline = Unix.gettimeofday () +. 1. in
+        while !heard = before && Unix.gettimeofday () < deadline do
+          ignore (U.wait b ~timeout:0.05)
+        done;
+        U.close s;
+        if !heard = before then Alcotest.failf "source %d never heard" i
+      done;
+      Alcotest.(check int) "every source heard" peers !heard;
+      Alcotest.(check int) "every source named right" peers !named;
+      U.close a;
+      U.close b
+
 (* --- Faulty: fake lower + fake clock harness --- *)
 
 let fake_faulty ?(seed = 7) ?(local = 1) () =
@@ -226,6 +328,10 @@ let () =
         [
           Alcotest.test_case "udp wait blocks, poll drains" `Quick
             test_udp_poll_drains;
+          Alcotest.test_case "udp wait drains a burst" `Quick
+            test_udp_wait_drains_burst;
+          Alcotest.test_case "udp address caches reset" `Quick
+            test_udp_address_cache_reset;
         ] );
       ( "faulty",
         [

@@ -386,6 +386,101 @@ let test_io_list_cap () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "list_of accepted count > max"
 
+(* Fixed-width integers and floats: random values plus the boundaries
+   where a sign bit or a box could leak in — top bits set, negative
+   [Int64]s, [0xffffffff], and quiet, negative and signalling NaN bit
+   patterns, compared bit for bit. *)
+let gen_io_values =
+  QCheck2.Gen.(
+    let u16 = oneof [ int_range 0 0xffff; oneofl [ 0; 0x7fff; 0x8000; 0xffff ] ] in
+    let u32 =
+      oneof
+        [
+          int_range 0 0xffff_ffff;
+          oneofl [ 0; 0x7fff_ffff; 0x8000_0000; 0xffff_fffe; 0xffff_ffff ];
+        ]
+    in
+    let u64 =
+      oneof
+        [
+          int64;
+          oneofl
+            [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0xffff_ffffL; 0x1_0000_0000L ];
+        ]
+    in
+    let f64_bits =
+      oneof
+        [
+          u64;
+          oneofl
+            [
+              0x7ff8_0000_0000_0000L (* quiet NaN *);
+              0xfff8_0000_0000_0001L (* negative NaN with payload *);
+              0x7ff0_0000_0000_0001L (* signalling NaN *);
+              0x7ff0_0000_0000_0000L (* +inf *);
+              0x8000_0000_0000_0000L (* -0. *);
+            ];
+        ]
+    in
+    tup4 u16 u32 u64 f64_bits)
+
+let test_io_int_roundtrip =
+  qtest ~count:1000 "put/read u16 u32 u64 f64" gen_io_values
+    (fun (a, b, c, d) ->
+      let open Wire.Io in
+      let buf = Buffer.create 22 in
+      put_u16 buf a;
+      put_u32 buf b;
+      put_u64 buf c;
+      put_f64 buf (Int64.float_of_bits d);
+      let r = reader (Buffer.contents buf) in
+      Buffer.length buf = 22
+      && u16 r "a" = Ok a
+      && u32 r "b" = Ok b
+      && u64 r "c" = Ok c
+      && (match f64 r "d" with
+         | Ok f -> Int64.equal (Int64.bits_of_float f) d
+         | Error _ -> false)
+      && expect_end r = Ok ())
+
+(* Each data-header check, in the order [Packet.decode] makes them,
+   with its exact message; [decoded_length] must agree. *)
+let test_header_rejections () =
+  let good =
+    I3.Packet.encode
+      (I3.Packet.make
+         ~stack:[ I3.Packet.Sid (Id.random (Rng.copy rng0)) ]
+         ~payload:"pp" ())
+  in
+  let with_byte off c =
+    let b = Bytes.of_string good in
+    Bytes.set b off c;
+    Bytes.to_string b
+  in
+  let module L = Wire.Layout in
+  let cases =
+    [
+      ("truncated header", String.sub good 0 (I3.Packet.header_bytes - 1));
+      ("truncated header", "");
+      ("bad magic", with_byte L.off_magic 'x');
+      ("bad magic", with_byte (L.off_magic + 1) 'x');
+      ("unknown version", with_byte L.off_version '\x02');
+      ("not a data packet", with_byte L.off_flags (Char.chr L.first_kind));
+      ("bad stack depth", with_byte L.off_stack_count '\x00');
+      ( "bad stack depth",
+        with_byte L.off_stack_count (Char.chr (I3.Packet.max_stack_depth + 1)) );
+    ]
+  in
+  List.iter
+    (fun (want, frame) ->
+      (match I3.Packet.decode frame with
+      | Error e -> Alcotest.(check string) ("decode: " ^ want) want e
+      | Ok _ -> Alcotest.failf "decode accepted a frame wanting %S" want);
+      match I3.Packet.decoded_length frame with
+      | Error e -> Alcotest.(check string) ("decoded_length: " ^ want) want e
+      | Ok _ -> Alcotest.failf "decoded_length accepted a frame wanting %S" want)
+    cases
+
 (* --- Sim byte transport --- *)
 
 let test_sim_transport () =
@@ -569,6 +664,8 @@ let () =
             test_decode_rejects_deep_stack;
           Alcotest.test_case "trailing bytes rejected" `Quick
             test_decode_rejects_trailing;
+          Alcotest.test_case "header rejection messages" `Quick
+            test_header_rejections;
           Alcotest.test_case "codec negatives" `Quick test_codec_negatives;
         ] );
       ( "stats frames",
@@ -586,6 +683,7 @@ let () =
       ( "io",
         [
           Alcotest.test_case "bounds" `Quick test_io_bounds;
+          test_io_int_roundtrip;
           Alcotest.test_case "list cap" `Quick test_io_list_cap;
           Alcotest.test_case "put_str32 payload cap" `Quick
             test_put_str32_guard;
