@@ -822,9 +822,7 @@ let section_scrape () =
     ignore (I3.Engine.step e ~now:(20. +. float_of_int i) (I3.Engine.Send_packet pkt))
   done;
   let ask ~nonce ~drain =
-    let frame =
-      I3.Engine.I3 (I3.Message.Stats_request { nonce; prefix = ""; drain })
-    in
+    let frame = I3.Message.Stats_request { nonce; prefix = ""; drain } in
     List.find_map
       (function
         | I3.Engine.Send (_, (I3.Message.Stats_response _ as m)) -> Some m

@@ -148,11 +148,12 @@ let parse_schedule ~owner spec : Faults.schedule =
 
 (* --- the live telemetry table ("i3cluster top") --- *)
 
-(* Every daemon registers its engine metrics as instance="srv1" (a
-   per-process counter), so the scraped store tells their series apart
-   only by the ("target", host:port) tag the collector adds.  Look
-   series up by name + target (+ any extra label pins) rather than by
-   the full label set. *)
+(* A daemon labels its engine metrics by its packed address
+   (instance="srv@<addr>") but its Chord metrics instance="chord" in
+   every process, so the scraped store tells daemons apart by the
+   ("target", host:port) tag the collector adds.  Look series up by
+   name + target (+ any extra label pins) rather than by the full label
+   set. *)
 let find_series store ?(extra = []) ~target name =
   List.find_opt
     (fun s ->

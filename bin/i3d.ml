@@ -180,8 +180,9 @@ let () =
     Transport.Driver.on_effects driver
       (List.iter (fun eff ->
            match eff with
+           | I3.Engine.Send (dst, I3.Message.Chord _) ->
+               log "send chord -> %d" dst
            | I3.Engine.Send (dst, _) -> log "send i3 -> %d" dst
-           | I3.Engine.Chord_send (dst, _) -> log "send chord -> %d" dst
            | I3.Engine.Deliver { dst; _ } -> log "deliver -> %d" dst
            | I3.Engine.Set_timer _ -> ()));
   (* The receive handler only enqueues: the loop below drains the whole

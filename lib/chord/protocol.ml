@@ -129,12 +129,13 @@ let create ?(metrics = Obs.Metrics.default) ?(spans = Obs.Span.disabled) engine
     ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
     ~rng ~config ~label
 
+let detached_label = "chord"
+
 let create_detached ?(metrics = Obs.Metrics.default)
     ?(spans = Obs.Span.disabled) engine ~rng ?(config = default_config) ~emit
     () =
-  incr instances;
-  let label = "ring" ^ string_of_int !instances in
-  make_network ~metrics ~spans ~engine ~sim_net:None ~emit ~rng ~config ~label
+  make_network ~metrics ~spans ~engine ~sim_net:None ~emit ~rng ~config
+    ~label:detached_label
 
 let engine nw = nw.engine
 let instance_label nw = nw.label
@@ -147,9 +148,6 @@ let sim_net_exn what nw =
   | None -> invalid_arg ("Chord.Protocol." ^ what ^ ": detached network")
 
 let set_loss_rate nw p = Net.set_loss_rate (sim_net_exn "set_loss_rate" nw) p
-let fault_driver nw = Faults.net_driver (sim_net_exn "fault_driver" nw)
-let net_stats nw = Net.stats (sim_net_exn "net_stats" nw)
-let net nw = sim_net_exn "net" nw
 
 let node_id n = n.id
 let node_addr n = n.addr
@@ -718,48 +716,6 @@ let kill n =
   Option.iter (fun net -> Net.set_down net n.addr) n.network.sim_net;
   List.iter Engine.cancel n.timers;
   n.timers <- []
-
-let restart ?via n =
-  if n.alive then invalid_arg "Protocol.restart: node is alive";
-  let nw = n.network in
-  n.alive <- true;
-  Option.iter (fun net -> Net.set_up net n.addr) nw.sim_net;
-  (* Fail-stop recovery: the process lost all volatile ring state. *)
-  n.pred <- None;
-  n.succs <- [];
-  for i = 0 to Finger_table.slots n.fingers - 1 do
-    Finger_table.set n.fingers i None
-  done;
-  Hashtbl.reset n.pending;
-  Hashtbl.reset n.suspicion;
-  Hashtbl.reset n.graveyard;
-  Hashtbl.reset n.contacts;
-  n.next_fix <- 0;
-  n.pred_heard <- Engine.now nw.engine;
-  start_timers n;
-  let via =
-    match via with
-    | Some _ -> via
-    | None -> (
-        match
-          List.filter (fun m -> m.alive && m.addr <> n.addr) nw.nodes
-        with
-        | [] -> None
-        | live -> Some (Rng.choose nw.rng (Array.of_list live)))
-  in
-  match via with
-  | None -> () (* alone again: it is its own ring *)
-  | Some v ->
-      remember n (self_peer v);
-      lookup v n.id (function
-        | Some p when p.addr <> n.addr ->
-            n.succs <- [ p ];
-            notify n p.addr
-        | _ ->
-            if v.addr <> n.addr then begin
-              n.succs <- [ self_peer v ];
-              notify n v.addr
-            end)
 
 let alive_nodes nw =
   List.filter (fun n -> n.alive) nw.nodes

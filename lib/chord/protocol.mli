@@ -91,15 +91,23 @@ val create_detached :
     sans-IO face [I3.Engine] composes with an i3 server so the same
     protocol runs over real UDP sockets.  Nodes must be started with an
     explicit [~addr] (the externally reachable transport address; it is
-    embedded in wire messages).  {!net}, {!set_loss_rate},
-    {!fault_driver} and {!net_stats} raise [Invalid_argument] on a
-    detached network — fault injection there belongs to the transport
-    ({!Transport.Faulty}). *)
+    embedded in wire messages).  {!set_loss_rate} raises
+    [Invalid_argument] on a detached network — fault injection there
+    belongs to the transport ({!Transport.Faulty}).
+
+    A detached network holds one node (a server process's view of the
+    ring), so its metrics carry the fixed label {!detached_label}
+    rather than a per-ring one: a process has one ring, and the nodes
+    of one simulated fleet sharing a registry add up under it. *)
+
+val detached_label : string
+(** The [instance] label of every detached network (["chord"]). *)
 
 val engine : network -> Engine.t
 
 val instance_label : network -> string
-(** The [instance] label this ring's metrics carry (["ringN"]). *)
+(** The [instance] label this ring's metrics carry (["ringN"], or
+    {!detached_label}). *)
 
 val spans : network -> Obs.Span.t
 (** The span collector handed to {!create}. *)
@@ -112,18 +120,6 @@ val pending_rpcs : node -> int
 val set_loss_rate : network -> float -> unit
 (** Inject uniform message loss on the underlying network (robustness
     tests). *)
-
-val fault_driver : network -> Faults.driver
-(** Interpret {!Faults} network events against the control plane's net
-    ([Crash]/[Restart] are ignored here — combine with a deployment-level
-    driver that owns node lifecycle). *)
-
-val net_stats : network -> Net.stats
-(** Drop/delivery accounting of the control plane (by fault cause). *)
-
-val net : network -> msg Net.t
-(** The control-plane network itself — the attachment point for
-    [Chord.Codec.harden]'s byte-roundtripping transducer. *)
 
 val bootstrap : network -> ?id:Id.t -> ?addr:int -> site:int -> unit -> node
 (** First node of a fresh ring (its own successor). Server ids default to
@@ -180,13 +176,6 @@ val probe_addr : node -> int -> unit
 val kill : node -> unit
 (** Fail-stop the node: it stops responding; others detect it via RPC
     timeouts. *)
-
-val restart : ?via:node -> node -> unit
-(** Recover a killed node at the same address with {e empty} volatile
-    state (no predecessor, successors or fingers — fail-stop semantics)
-    and rejoin the ring through [via] (default: a random live node; if
-    none, the node bootstraps alone).  @raise Invalid_argument if the
-    node is alive. *)
 
 val alive_nodes : network -> node list
 (** Alive nodes in ascending id order. *)

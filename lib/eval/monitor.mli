@@ -31,8 +31,10 @@ val delivery_rule :
 
 val rpc_timeout_rule :
   ?window_ms:float -> ring_label:string -> unit -> Obs.Health.rule
-(** Chord RPC timeouts per second on the control ring
-    ({!I3.Dynamic.ring_label}): a healthy ring has none. *)
+(** Chord RPC timeouts per second across the ring: the series labelled
+    exactly [("instance", ring_label)] ({!I3.Dynamic.ring_label}).  A
+    healthy ring has none.  The other ring rules match the same
+    label. *)
 
 val ring_stable_rule :
   ?window_ms:float -> ring_label:string -> unit -> Obs.Health.rule

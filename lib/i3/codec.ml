@@ -147,6 +147,7 @@ let kind_of : Message.t -> int = function
   | Pong _ -> L.kind_pong
   | Stats_request _ -> L.kind_stats_request
   | Stats_response _ -> L.kind_stats_response
+  | Chord _ -> assert false (* framed by [Chord.Codec] *)
 
 let encode (m : Message.t) =
   match m with
@@ -156,6 +157,7 @@ let encode (m : Message.t) =
          lets [decode] tell packets and control messages apart with zero
          framing overhead. *)
       Packet.encode p
+  | Chord m -> Chord.Codec.encode m
   | _ ->
       let buf = Buffer.create 96 in
       Buffer.add_char buf L.magic0;
@@ -163,7 +165,7 @@ let encode (m : Message.t) =
       Buffer.add_char buf L.version;
       Io.put_u8 buf (kind_of m);
       (match m with
-      | Data _ -> assert false
+      | Data _ | Chord _ -> assert false
       | Insert { trigger; token } ->
           put_trigger buf trigger;
           (match token with
@@ -340,14 +342,19 @@ let decode s =
     | Ok p -> Ok (Message.Data p)
     | Error e -> Error e
   else
-    let r = Io.reader s in
-    let* () = Io.expect_char r L.magic0 "magic" in
-    let* () = Io.expect_char r L.magic1 "magic" in
-    let* () = Io.expect_char r L.version "version" in
-    let* kind = Io.u8 r "kind" in
-    let* m = read_body kind r in
-    let* () = Io.expect_end r in
-    Ok m
+    let kind = Char.code s.[L.off_kind] in
+    if kind >= L.kind_lookup_step && kind <= L.kind_notify then
+      (* Chord RPCs share the preamble and carry their own kinds. *)
+      Result.map (fun m -> Message.Chord m) (Chord.Codec.decode s)
+    else
+      let r = Io.reader s in
+      let* () = Io.expect_char r L.magic0 "magic" in
+      let* () = Io.expect_char r L.magic1 "magic" in
+      let* () = Io.expect_char r L.version "version" in
+      let* kind = Io.u8 r "kind" in
+      let* m = read_body kind r in
+      let* () = Io.expect_end r in
+      Ok m
 
 (* --- simnet interposition --- *)
 

@@ -7,7 +7,10 @@
     ["i3"], version) with a kind byte in [0x10]–[0x18] at the same
     offset, followed by a per-kind body built from the shared building
     blocks: raw 32-byte ids, u64 addresses, {!Packet} stack entries,
-    IEEE-754 lifetimes, length-prefixed tokens/payloads. *)
+    IEEE-754 lifetimes, length-prefixed tokens/payloads.  A
+    {!Message.Chord} RPC is framed by [Chord.Codec] under the same
+    preamble with a kind byte in [0x20]–[0x24], so one decoder serves
+    the single address a server shares between Chord and i3. *)
 
 val encode : Message.t -> string
 

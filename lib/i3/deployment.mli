@@ -19,7 +19,6 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?spans:Obs.Span.t ->
-  ?wire_roundtrip:bool ->
   n_servers:int ->
   unit ->
   t
@@ -33,10 +32,11 @@ val create :
     [spans] collector records each host's trigger insert/refresh
     round-trip spans.
 
-    [wire_roundtrip] (default [true]) passes every simulated hop through
-    {!Codec} encode→decode ({!Codec.harden}), so the whole suite
-    exercises the real wire format; codec failures surface as ["codec"]
-    drops and in [wire.decode_errors].
+    Every simulated hop passes through {!Codec} encode→decode
+    ({!Codec.harden}), so the whole suite exercises the real wire
+    format; codec failures surface as ["codec"] drops and in
+    [wire.decode_errors].  Each server is a {!Server.create_detached}
+    at its own simulated endpoint's address.
 
     [substrate] selects the lookup substrate the ring routes over
     ({!Koorde.Substrate.spec}); when omitted it defaults to

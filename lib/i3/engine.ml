@@ -13,12 +13,8 @@
    effect telling it when to call [step ~now Tick] again at the
    latest. *)
 
-type frame =
-  | I3 of Message.t
-  | Chord of Chord.Protocol.msg
-
 type event =
-  | Frame of { src : Packet.addr; frame : frame }
+  | Frame of { src : Packet.addr; frame : Message.t }
   | Batch of event list
   | Tick
   | Insert_trigger of Trigger.t
@@ -27,7 +23,6 @@ type event =
 
 type effect =
   | Send of Packet.addr * Message.t
-  | Chord_send of Packet.addr * Chord.Protocol.msg
   | Deliver of {
       dst : Packet.addr;
       stack : Packet.stack;
@@ -42,7 +37,6 @@ type t = {
   addr : Packet.addr;
   id : Id.t;
   server : Server.t;
-  network : Chord.Protocol.network;
   node : Chord.Protocol.node;
   metrics : Obs.Metrics.t;
   tracer : Obs.Trace.t;
@@ -75,14 +69,18 @@ let batch_buckets = [| 0.; 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16.; 24.; 32.; 64. |]
 
 let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
     ?(chord_config = Chord.Protocol.default_config)
-    ?(metrics = Obs.Metrics.default) ?tracer ?spans () =
+    ?(metrics = Obs.Metrics.default) ?tracer ?spans ?(now = 0.) () =
   let wheel = Sim.Engine.create () in
+  (* Start the wheel at the caller's clock, so periodic timers count
+     from here rather than replaying every period since time 0. *)
+  Sim.Engine.run_until wheel now;
   let rng = Rng.of_int seed in
   let outbox = Queue.create () in
   let network =
     Chord.Protocol.create_detached ~metrics ?spans wheel ~rng:(Rng.split rng)
       ~config:chord_config
-      ~emit:(fun ~src:_ ~dst msg -> Queue.add (Chord_send (dst, msg)) outbox)
+      ~emit:(fun ~src:_ ~dst msg ->
+        Queue.add (Send (dst, Message.Chord msg)) outbox)
       ()
   in
   let id =
@@ -120,7 +118,6 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
     addr;
     id;
     server;
-    network;
     node;
     metrics;
     tracer = Option.value ~default:Obs.Trace.disabled tracer;
@@ -138,31 +135,15 @@ let addr t = t.addr
 let id t = t.id
 let server t = t.server
 let chord t = t.node
-let chord_network t = t.network
 let now t = Sim.Engine.now t.wheel
 let next_due t = Sim.Engine.next_due t.wheel
 
-(* --- frame codec dispatch --- *)
+(* --- wire form --- *)
 
-let decode bytes =
-  let module L = Wire.Layout in
-  if String.length bytes < L.preamble_bytes then Error "frame too short"
-  else
-    let kind = Char.code bytes.[L.off_kind] in
-    if kind >= L.kind_lookup_step && kind <= L.kind_notify then
-      Result.map (fun m -> Chord m) (Chord.Codec.decode bytes)
-    else
-      (* Data packets (flags < [first_kind]) and i3 control kinds both
-         belong to the i3 codec, which discriminates them itself. *)
-      Result.map (fun m -> I3 m) (Codec.decode bytes)
-
-let encode_frame = function
-  | I3 m -> Codec.encode m
-  | Chord m -> Chord.Codec.encode m
+let decode = Codec.decode
 
 let encode_effect = function
   | Send (dst, m) -> Some (dst, Codec.encode m)
-  | Chord_send (dst, m) -> Some (dst, Chord.Codec.encode m)
   | Deliver { dst; stack; payload; trace } ->
       Some (dst, Codec.encode (Message.Deliver { stack; payload; trace }))
   | Set_timer _ -> None
@@ -210,11 +191,11 @@ let handle_stats t ~src ~nonce ~prefix ~drain =
 let rec dispatch t = function
   | Tick -> ()
   | Batch events -> List.iter (dispatch t) events
-  | Frame { src; frame = I3 (Message.Stats_request { nonce; prefix; drain }) }
-    ->
+  | Frame { src; frame = Message.Stats_request { nonce; prefix; drain } } ->
       handle_stats t ~src ~nonce ~prefix ~drain
-  | Frame { src; frame = I3 msg } -> Server.handle_message t.server ~src msg
-  | Frame { src; frame = Chord msg } -> Chord.Protocol.handle t.node ~src msg
+  | Frame { src; frame = Message.Chord msg } ->
+      Chord.Protocol.handle t.node ~src msg
+  | Frame { src; frame } -> Server.handle_message t.server ~src frame
   | Insert_trigger trigger ->
       Server.handle_message t.server ~src:t.addr
         (Message.Insert { trigger; token = None })

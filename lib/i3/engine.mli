@@ -6,12 +6,13 @@
     is [step t ~now event -> effect list]: the caller stamps each input
     with its own notion of time (virtual milliseconds in tests,
     milliseconds since process start in a daemon) and interprets the
-    returned effects against whatever transport it owns.  Two drivers
+    returned effects against whatever transport it owns.  Three drivers
     ship with the repo — {!Transport.Driver} pumping any
-    {!Transport.S} (the UDP daemon [bin/i3d]), and the in-process test
-    driver in [test/test_engine.ml] — and both observe identical
-    effect traces for identical inputs, which is the point: protocol
-    behaviour is decided here, delivery is decided by the driver.
+    {!Transport.S} (the UDP daemon [bin/i3d]), {!Dynamic} spending
+    effects on the simulated network, and the in-process test driver in
+    [test/test_engine.ml] — and all observe identical effect traces for
+    identical inputs, which is the point: protocol behaviour is decided
+    here, delivery is decided by the driver.
 
     Internally the engine owns a private {!Sim.Engine} wheel carrying
     every timer the composed protocols need (soft-state sweeps,
@@ -21,16 +22,12 @@
     driver sleeps exactly as long as the protocols allow and no
     longer. *)
 
-type frame =
-  | I3 of Message.t
-  | Chord of Chord.Protocol.msg
-      (** Both protocols share one transport address per node; frames
-          are told apart by the wire kind byte ({!decode}). *)
-
 type event =
-  | Frame of { src : Packet.addr; frame : frame }
+  | Frame of { src : Packet.addr; frame : Message.t }
       (** A decoded datagram from [src] (its packed transport
-          address). *)
+          address).  Chord and i3 share the node's one address:
+          {!Message.Chord} frames go to the Chord node, the rest to the
+          server. *)
   | Batch of event list
       (** Several events sharing one [step]: a driver draining a socket
           backlog hands the whole burst over at once, paying the timer
@@ -48,8 +45,9 @@ type event =
       (** Local command: source a data packet here (paper Fig. 3). *)
 
 type effect =
-  | Send of Packet.addr * Message.t  (** Encode and transmit. *)
-  | Chord_send of Packet.addr * Chord.Protocol.msg
+  | Send of Packet.addr * Message.t
+      (** Encode and transmit (Chord RPCs included, as
+          {!Message.Chord}). *)
   | Deliver of {
       dst : Packet.addr;
       stack : Packet.stack;
@@ -78,6 +76,7 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?spans:Obs.Span.t ->
+  ?now:float ->
   unit ->
   t
 (** A node at transport address [addr] (for UDP, the packed [ip:port]
@@ -88,6 +87,11 @@ val create :
     while it is still alone ({!Chord.Protocol.probe_addr}); without, it
     bootstraps a fresh ring.
 
+    [now] (default 0) is the caller's clock at creation: timers start
+    counting from it, and trigger deadlines are on the caller's clock.
+    An engine started late in a simulation passes the simulator's time
+    so it does not replay every missed period on its first step.
+
     [site] (default 0) stamps every {!Obs.Trace} event this node records
     — daemons pass their port so hop events drained from different
     processes stay distinguishable when {!Obs.Trace.assemble} joins them
@@ -97,8 +101,9 @@ val create :
     [engine.effect_batch] histogram, and the introspection gauges
     [engine.wheel_depth] (pending timers), [engine.pending_rpcs]
     (in-flight Chord RPCs) and [engine.triggers] (resident triggers) in
-    [metrics] under the server's [instance] label; the gauges are
-    refreshed on every {!step}.
+    [metrics] under the server's [instance] label (["srv@<addr>"]); the
+    gauges are refreshed on every {!step}.  The Chord node's metrics
+    carry {!Chord.Protocol.detached_label}.
 
     A received [Message.Stats_request] frame is answered by the engine
     itself (never forwarded to the server) as a pure {!effect.Send} of a
@@ -117,8 +122,6 @@ val server : t -> Server.t
 val chord : t -> Chord.Protocol.node
 (** The embedded Chord node (successor/predecessor, ring state). *)
 
-val chord_network : t -> Chord.Protocol.network
-
 val now : t -> float
 (** The engine's clock: the largest [now] any {!step} has seen. *)
 
@@ -126,18 +129,12 @@ val next_due : t -> float option
 (** Earliest pending timer — what the next {!effect.Set_timer} will
     say. *)
 
-val decode : string -> (frame, string) result
-(** Classify and decode one datagram by its kind byte (offset
-    [Wire.Layout.off_kind]): Chord RPC kinds go to [Chord.Codec],
-    everything else — data packets and i3 control kinds — to
-    {!Codec}.  Never raises. *)
-
-val encode_frame : frame -> string
-(** Inverse of {!decode} (for tests and loopback drivers). *)
+val decode : string -> (Message.t, string) result
+(** One datagram's frame: {!Codec.decode}.  Never raises. *)
 
 val encode_effect : effect -> (Packet.addr * string) option
-(** Wire form of an effect: [Some (dst, bytes)] for the three send
-    shapes, [None] for {!effect.Set_timer} (which only re-arms the
+(** Wire form of an effect: [Some (dst, bytes)] for {!effect.Send} and
+    {!effect.Deliver}, [None] for {!effect.Set_timer} (which only re-arms the
     driver's clock). *)
 
 val step : t -> now:float -> event -> effect list

@@ -144,7 +144,7 @@ let handle t ~src:_ (msg : Message.t) =
   | Message.Data _ | Message.Insert _ | Message.Remove _
   | Message.Cache_push _ | Message.Pushback _ | Message.Replica _
   | Message.Ping _ | Message.Pong _ | Message.Stats_request _
-  | Message.Stats_response _ ->
+  | Message.Stats_response _ | Message.Chord _ ->
       (* Server-bound traffic; hosts ignore it. *)
       ()
 

@@ -23,6 +23,7 @@ type t =
       samples : Obs.Metrics.sample list;
       events : Obs.Trace.event list;
     }
+  | Chord of Chord.Protocol.msg
 
 (* [Data] packets need {!Packet.equal} (payloads compare by content);
    every other arm is plain immutable data where structural [=] is
@@ -66,6 +67,14 @@ let pp ppf = function
   | Stats_response { nonce; server; samples; events } ->
       Format.fprintf ppf "stats-response #%d from %a (%d samples, %d events)"
         nonce Net.pp_addr server (List.length samples) (List.length events)
+  | Chord m ->
+      Format.fprintf ppf "chord %s"
+        (match m with
+        | Chord.Protocol.Lookup_step _ -> "lookup-step"
+        | Lookup_reply _ -> "lookup-reply"
+        | Get_state _ -> "get-state"
+        | State _ -> "state"
+        | Notify _ -> "notify")
 
 (* The trace id carried by a message, if the message participates in
    per-packet tracing (data path only: control messages are untraced). *)
@@ -74,5 +83,5 @@ let trace_of = function
   | Deliver { trace; _ } -> if trace = 0 then None else Some trace
   | Insert _ | Remove _ | Challenge _ | Insert_ack _ | Cache_info _
   | Cache_push _ | Pushback _ | Replica _ | Ping _ | Pong _
-  | Stats_request _ | Stats_response _ ->
+  | Stats_request _ | Stats_response _ | Chord _ ->
       None

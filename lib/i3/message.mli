@@ -61,6 +61,10 @@ type t =
           [max_stats_samples] / [max_trace_drain]); collectors join the
           [events] of many servers on the trace id with
           {!Obs.Trace.assemble} *)
+  | Chord of Chord.Protocol.msg
+      (** a Chord ring-maintenance RPC: servers run Chord and i3 over one
+          address, as the prototype does (Sec. V-C), so both protocols
+          share this message type and its codec *)
 
 val equal : t -> t -> bool
 (** Structural equality, except [Data] payloads compare by content

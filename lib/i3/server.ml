@@ -58,8 +58,6 @@ type counters = {
   c_cache_pushes : Obs.Metrics.counter;
 }
 
-let instances = ref 0
-
 let make_counters metrics inst =
   let inst = ("instance", inst) in
   let counter ?(labels = []) name =
@@ -94,20 +92,15 @@ type ring_view = {
 }
 
 (* All I/O is injected: the server never touches a network directly.
-   [emit] carries every outbound message; [io_down]/[io_up] let the
-   owning substrate mirror kill/restart (the simulated [Net] marks the
-   endpoint down; a detached server has no substrate and both are
-   no-ops).  This is what keeps the Fig. 3 engine sans-IO: the same
-   code runs over [Net], over [I3.Engine] effects, or under a direct
-   microbenchmark. *)
+   [emit] carries every outbound message, so the same Fig. 3 code runs
+   under [I3.Engine] effects, behind a simulated endpoint or under a
+   direct microbenchmark. *)
 type t = {
   engine : Sim.Engine.t;
-  mutable emit : dst:Packet.addr -> Message.t -> unit;
-  mutable io_down : unit -> unit;
-  mutable io_up : unit -> unit;
+  emit : dst:Packet.addr -> Message.t -> unit;
   mutable view : ring_view;
   id : Id.t;
-  mutable addr : Packet.addr;
+  addr : Packet.addr;
   site : int;
   cfg : config;
   table : Trigger_table.t;
@@ -118,7 +111,7 @@ type t = {
   secret : string;
   metrics : Obs.Metrics.t;
   instance : string;  (* this server's [instance] label value *)
-  mutable c : counters;
+  c : counters;
   tracer : Obs.Trace.t;
   mutable alive : bool;
   mutable sweeper : Sim.Engine.timer option;
@@ -403,85 +396,62 @@ let handle t ~src (msg : Message.t) =
     | Message.Deliver _ | Message.Pong _ ->
         (* Host-bound control traffic; not for servers. *)
         ()
-    | Message.Stats_request _ | Message.Stats_response _ ->
-        (* Telemetry is answered above the server: I3.Engine intercepts
-           stats requests (it owns the registry-wide view, timer wheel
-           and Chord introspection); a bare sim server has no scraper. *)
+    | Message.Stats_request _ | Message.Stats_response _ | Message.Chord _ ->
+        (* Answered above the server: I3.Engine intercepts stats
+           requests (it owns the registry-wide view, timer wheel and
+           Chord introspection) and hands Chord RPCs to its Chord node. *)
         ()
 
 let handle_message = handle
 
-let make ~engine ~view ~addr ~site ~id ~config ~metrics ~tracer =
-  incr instances;
-  let instance = "srv" ^ string_of_int !instances in
-  {
-    engine;
-    emit = (fun ~dst:_ _ -> ());
-    io_down = (fun () -> ());
-    io_up = (fun () -> ());
-    view;
-    id;
-    addr;
-    site;
-    cfg = config;
-    table = Trigger_table.create ();
-    cache = Trigger_table.create ();
-    replicas = Trigger_table.create ();
-    heat = Hashtbl.create 64;
-    secret = Sha256.digest ("i3-server-secret:" ^ Id.to_raw_string id);
-    metrics;
-    instance;
-    c = make_counters metrics instance;
-    tracer;
-    alive = true;
-    sweeper = None;
-  }
-
-let create ~engine ~net ~view ~site ~id ?(config = default_config)
-    ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled) () =
-  let t = make ~engine ~view ~addr:(-1) ~site ~id ~config ~metrics ~tracer in
-  t.addr <- Net.register net ~site (fun ~src msg -> handle t ~src msg);
-  t.emit <- (fun ~dst msg -> Net.send net ~src:t.addr ~dst msg);
-  t.io_down <- (fun () -> Net.set_down net t.addr);
-  t.io_up <- (fun () -> Net.set_up net t.addr);
-  start_sweeper t;
-  t
+let forget_instance metrics instance =
+  Obs.Metrics.remove_where metrics (fun ~name:_ ~labels ->
+      List.mem ("instance", instance) labels)
 
 let create_detached ~engine ~addr ~emit ~view ?(site = 0) ~id
     ?(config = default_config) ?(metrics = Obs.Metrics.default)
     ?(tracer = Obs.Trace.disabled) () =
-  let t = make ~engine ~view ~addr ~site ~id ~config ~metrics ~tracer in
-  t.emit <- emit;
+  let instance = Printf.sprintf "srv@%d" addr in
+  (* A server created at an address the registry already knows is a new
+     process there: its counters start from zero. *)
+  forget_instance metrics instance;
+  let t =
+    {
+      engine;
+      emit;
+      view;
+      id;
+      addr;
+      site;
+      cfg = config;
+      table = Trigger_table.create ();
+      cache = Trigger_table.create ();
+      replicas = Trigger_table.create ();
+      heat = Hashtbl.create 64;
+      secret = Sha256.digest ("i3-server-secret:" ^ Id.to_raw_string id);
+      metrics;
+      instance;
+      c = make_counters metrics instance;
+      tracer;
+      alive = true;
+      sweeper = None;
+    }
+  in
   start_sweeper t;
   t
 
+let view t = t.view
 let set_view t view = t.view <- view
 
 let kill t =
   t.alive <- false;
-  t.io_down ();
   (* A dead process exports nothing: deregister this instance's samples
      so snapshots and the health monitor don't read ghost values frozen
      at their pre-crash counts.  The handles in [t.c] stay harmlessly
-     writable until [restart] replaces them. *)
-  Obs.Metrics.remove_where t.metrics (fun ~name:_ ~labels ->
-      List.mem ("instance", t.instance) labels);
+     writable. *)
+  forget_instance t.metrics t.instance;
   match t.sweeper with
   | Some timer ->
       Sim.Engine.cancel timer;
       t.sweeper <- None
   | None -> ()
-
-let restart t =
-  if t.alive then invalid_arg "Server.restart: server is alive";
-  t.alive <- true;
-  t.io_up ();
-  (* Fail-stop recovery: stored soft state died with the process; hosts
-     re-populate it on their next refresh (Sec. IV-C).  Counters restart
-     from zero with the process (kill deregistered the old samples). *)
-  t.c <- make_counters t.metrics t.instance;
-  Trigger_table.clear t.table;
-  Trigger_table.clear t.cache;
-  Trigger_table.clear t.replicas;
-  Hashtbl.reset t.heat;
-  start_sweeper t

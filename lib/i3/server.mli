@@ -69,26 +69,10 @@ type ring_view = {
       (** ring predecessor (hot-spot push target, Sec. IV-F) *)
 }
 (** How a server sees the ring.  {!Deployment} derives it from the static
-    oracle; {!Dynamic} derives it from a live {!Chord.Protocol} node, so
-    the very same forwarding engine runs over either substrate. *)
+    oracle; {!Engine} derives it from its live {!Chord.Protocol} node, so
+    the very same forwarding code runs over either substrate. *)
 
 type t
-
-val create :
-  engine:Sim.Engine.t ->
-  net:Message.t Net.t ->
-  view:ring_view ->
-  site:int ->
-  id:Id.t ->
-  ?config:config ->
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Trace.t ->
-  unit ->
-  t
-(** Register a server endpoint at [site] with the given ring view.
-    Counters register in [metrics] (default {!Obs.Metrics.default});
-    [tracer] (default {!Obs.Trace.disabled}) receives per-packet relay /
-    cache-hit / trigger-match / drop events for traced packets. *)
 
 val create_detached :
   engine:Sim.Engine.t ->
@@ -102,15 +86,23 @@ val create_detached :
   ?tracer:Obs.Trace.t ->
   unit ->
   t
-(** A server with no network underneath: every outbound message goes
-    through [emit] and inbound traffic arrives via {!handle_message} —
-    the sans-IO face {!Engine} composes with a Chord node and drives
-    over any {!Transport.S}.  [addr] is the server's externally visible
-    address (it is embedded in [Insert_ack]/[Pong] frames, so it must
-    be the address peers can actually reach — for UDP, the packed
-    [ip:port]).  [engine] supplies the virtual clock for soft-state
-    expiry; the owner advances it.  {!kill}/{!restart} only flip
-    liveness (there is no endpoint to mark down). *)
+(** A server at transport address [addr], the address peers reach it at
+    (it travels in [Insert_ack]/[Pong] frames).  Outbound messages go
+    through [emit]; inbound ones arrive via {!handle_message}.  [engine]
+    is the clock for soft-state expiry and sweeps; the owner advances
+    it.
+
+    Counters register in [metrics] (default {!Obs.Metrics.default})
+    under the label [("instance", "srv@<addr>")]: named by the address,
+    so the same server gets the same label in every run and across
+    restarts.  Samples already registered under that label are removed
+    first, so a server re-created at the same address counts from
+    zero.  [tracer] (default {!Obs.Trace.disabled}) receives
+    relay / cache-hit / trigger-match / drop events for traced
+    packets. *)
+
+val view : t -> ring_view
+(** The ring view in force. *)
 
 val set_view : t -> ring_view -> unit
 (** Install a new ring view after membership changed. *)
@@ -119,7 +111,8 @@ val addr : t -> Packet.addr
 val id : t -> Id.t
 
 val instance_label : t -> string
-(** The [instance] label value this server's metrics carry (["srvN"]). *)
+(** The [instance] label value this server's metrics carry
+    (["srv@<addr>"]). *)
 
 val config : t -> config
 val stats : t -> stats
@@ -138,14 +131,8 @@ val kill : t -> unit
 (** Fail-stop: stop answering; stored triggers die with the server (hosts
     re-insert them on refresh — Sec. IV-C).  The server's per-instance
     metrics are removed from the registry so snapshots don't read ghost
-    values from a dead process. *)
-
-val restart : t -> unit
-(** Recover a killed server at the same address with empty trigger
-    tables (fail-stop semantics: soft state did not survive); hosts
-    re-populate them on their next refresh.  Counters re-register from
-    zero, matching the fail-stop story.  @raise Invalid_argument if
-    the server is alive. *)
+    values from a dead process.  Recovery is a new server at the same
+    identity. *)
 
 val is_alive : t -> bool
 

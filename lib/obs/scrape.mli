@@ -18,7 +18,7 @@
 
     Accepted samples are re-tagged with a [("target", instance)] label
     before they land in the store — daemons are separate processes, so
-    their registry-local [instance] labels (["srv1"] in every process)
+    their registry-local [instance] labels (["chord"] in every process)
     would otherwise collide.  Drained trace events accumulate (bounded)
     until {!take_events} hands them to {!Trace.assemble}. *)
 

@@ -36,8 +36,6 @@ let pp_event ppf = function
 
 type driver = event -> unit
 
-let combine drivers event = List.iter (fun d -> d event) drivers
-
 let null_driver (_ : event) = ()
 
 let net_driver ?(crash = fun _ -> ()) ?(restart = fun _ -> ()) net event =

@@ -3,12 +3,10 @@
     A {!schedule} is a list of [(virtual-time offset, event)] pairs; a
     {!driver} interprets each event against some substrate — a raw
     {!Net.t} (via {!net_driver}), or a full deployment (e.g.
-    [I3.Dynamic.fault_driver], which applies network faults to both the
-    control and the data plane and maps [Crash]/[Restart] onto server
-    kill/recover).  Drivers are plain functions so they {!combine}:
-    applying one schedule to several network planes at once is the normal
-    case, mirroring how a real partition severs every protocol sharing
-    the cut.
+    [I3.Dynamic.fault_driver], which applies network faults to the
+    network every protocol shares, as a real partition severs every
+    protocol crossing the cut, and maps [Crash]/[Restart] onto server
+    kill/recover).
 
     Everything is driven by an explicit {!Rng.t}, so a scenario replays
     identically from its seed — the property that turns a flaky chaos
@@ -42,9 +40,6 @@ type schedule = (float * event) list
 type driver = event -> unit
 
 val null_driver : driver
-
-val combine : driver list -> driver
-(** Apply every driver to every event, in order. *)
 
 val net_driver :
   ?crash:(int -> unit) -> ?restart:(int -> unit) -> 'msg Net.t -> driver

@@ -91,8 +91,8 @@ let assert_traces_conserved ~what d =
           (s.Obs.Trace.delivers + s.Obs.Trace.drops))
     (Obs.Trace.summaries tracer)
 
-(* Chaos-matrix-under-codec (the deployment byte-roundtrips every hop on
-   both planes by default): by scenario end a healthy wire layer shows
+(* Chaos-matrix-under-codec (the deployment byte-roundtrips every hop,
+   Chord RPCs included): by scenario end a healthy wire layer shows
    plenty of roundtrips and not a single decode failure or codec drop —
    any Error would also have surfaced as a ["codec"]-cause drop in the
    fault accounting. *)
@@ -180,11 +180,8 @@ let scenario_partition ~seed () =
   let m =
     check_recovered ~what:"partition+heal" ~seed d recv flow monitor ~fault_at
   in
-  let dropped =
-    (I3.Dynamic.data_net_stats d).Net.dropped_partition
-    + (I3.Dynamic.control_net_stats d).Net.dropped_partition
-  in
-  Alcotest.(check bool) "partition drops counted as such" true (dropped > 0);
+  Alcotest.(check bool) "partition drops counted as such" true
+    ((I3.Dynamic.net_stats d).Net.dropped_partition > 0);
   m
 
 (* --- scenario: kill the trigger's responsible server mid-refresh --- *)
@@ -267,7 +264,12 @@ let test_burst_during_stabilization () =
   let conv = Eval.Recovery.converges_within ~budget:180_000. (probe_rng seed) d in
   Alcotest.(check bool) "converges once the burst lifts" true (conv <> None);
   Alcotest.(check bool) "burst drops counted as such" true
-    ((I3.Dynamic.control_net_stats d).Net.dropped_burst > 0);
+    ((I3.Dynamic.net_stats d).Net.dropped_burst > 0);
+  (* The ring may converge while bursts still rage; the rendezvous below
+     is a single unacknowledged packet, so it runs once they lifted. *)
+  let lifted = 30_000. in
+  if I3.Dynamic.now d < lifted then
+    I3.Dynamic.run_for d (lifted -. I3.Dynamic.now d);
   (* the deployment is healthy enough for rendezvous afterwards *)
   let recv = I3.Dynamic.new_host d ~config:chaos_host_config () in
   let send = I3.Dynamic.new_host d ~config:chaos_host_config () in
@@ -314,9 +316,7 @@ let test_gray_link_between_successors () =
     ];
   I3.Dynamic.run_for d 25_000.;
   Alcotest.(check bool) "gray drops counted as such" true
-    ((I3.Dynamic.data_net_stats d).Net.dropped_gray
-     + (I3.Dynamic.control_net_stats d).Net.dropped_gray
-    > 0);
+    ((I3.Dynamic.net_stats d).Net.dropped_gray > 0);
   I3.Dynamic.run_for d 5_000.;
   ignore (check_recovered ~what:"gray link" ~seed d recv flow monitor ~fault_at)
 

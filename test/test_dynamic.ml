@@ -150,6 +150,47 @@ let test_concurrent_joins_converge () =
   done;
   Alcotest.(check bool) "responsibility partitioned" true !all_single
 
+(* --- metrics labels name the server, not the creation order --- *)
+
+let server_labels metrics =
+  Obs.Metrics.snapshot ~prefix:"i3." metrics
+  |> List.filter_map (fun (s : Obs.Metrics.sample) ->
+         List.assoc_opt "instance" s.labels)
+  |> List.sort_uniq compare
+
+let test_labels_from_identity () =
+  let build () =
+    let metrics = Obs.Metrics.create () in
+    ignore (I3.Deployment.create ~metrics ~seed:5 ~n_servers:4 ());
+    server_labels metrics
+  in
+  let first = build () in
+  Alcotest.(check int) "one label per server" 4 (List.length first);
+  Alcotest.(check (list string)) "rebuilding gives the same labels" first
+    (build ())
+
+let test_restart_keeps_label () =
+  let metrics = Obs.Metrics.create () in
+  let d = I3.Dynamic.create ~metrics ~seed:6 () in
+  for _ = 1 to 3 do
+    ignore (I3.Dynamic.add_server d ());
+    I3.Dynamic.run_for d 2_000.
+  done;
+  let victim = I3.Dynamic.nth_server d 1 in
+  let label = I3.Server.instance_label victim in
+  I3.Dynamic.kill_server d victim;
+  I3.Dynamic.run_for d 5_000.;
+  Alcotest.(check bool) "a dead server exports nothing" false
+    (List.mem label (server_labels metrics));
+  I3.Dynamic.restart_server d victim;
+  I3.Dynamic.run_for d 5_000.;
+  let again = I3.Dynamic.nth_server d 1 in
+  Alcotest.(check bool) "restarted" true (I3.Server.is_alive again);
+  Alcotest.(check string) "same label after restart" label
+    (I3.Server.instance_label again);
+  Alcotest.(check bool) "exports again under it" true
+    (List.mem label (server_labels metrics))
+
 let () =
   Alcotest.run "i3-dynamic"
     [
@@ -162,5 +203,12 @@ let () =
           Alcotest.test_case "incremental join" `Slow test_incremental_join_takes_over_arc;
           Alcotest.test_case "multicast" `Slow test_multicast_over_dynamic_ring;
           Alcotest.test_case "concurrent joins" `Slow test_concurrent_joins_converge;
+        ] );
+      ( "labels",
+        [
+          Alcotest.test_case "labels from identity" `Quick
+            test_labels_from_identity;
+          Alcotest.test_case "restart keeps the label" `Quick
+            test_restart_keeps_label;
         ] );
     ]

@@ -70,14 +70,14 @@ let test_decode_dispatch () =
          })
   in
   (match I3.Engine.decode i3_frame with
-  | Ok (I3.Engine.I3 (I3.Message.Insert _)) -> ()
+  | Ok (I3.Message.Insert _) -> ()
   | _ -> Alcotest.fail "i3 control frame must dispatch to the i3 codec");
   let chord_frame =
     Chord.Codec.encode
       (Chord.Protocol.Get_state { token = 1; reply_to = 12 })
   in
   (match I3.Engine.decode chord_frame with
-  | Ok (I3.Engine.Chord (Chord.Protocol.Get_state _)) -> ()
+  | Ok (I3.Message.Chord (Chord.Protocol.Get_state _)) -> ()
   | _ -> Alcotest.fail "chord frame must dispatch to the chord codec");
   (* Data packets are encoded bare (no preamble); the flags byte at the
      kind offset stays below the control range. *)
@@ -88,7 +88,7 @@ let test_decode_dispatch () =
             ~payload:"pp" ()))
   in
   (match I3.Engine.decode data_frame with
-  | Ok (I3.Engine.I3 (I3.Message.Data _)) -> ()
+  | Ok (I3.Message.Data _) -> ()
   | _ -> Alcotest.fail "bare data packet must land on the i3 side");
   match I3.Engine.decode "\xff\xff\xff\xff garbage" with
   | Error _ -> ()
@@ -203,7 +203,7 @@ let test_step_total =
               only frames that still decode reach the engine, exactly the
               filtering a [Transport.Driver] performs *)
            let m = msg () in
-           if Rng.bool rng then Some (I3.Engine.I3 m)
+           if Rng.bool rng then Some m
            else begin
              let bytes = Bytes.of_string (I3.Codec.encode m) in
              for _ = 1 to Rng.int rng 4 do
@@ -315,9 +315,9 @@ let test_loopback_ring_forms () =
       ~join:[ addr_a ] ~chord_config:fast_chord ~metrics ()
   in
   let engine_at addr = if addr = addr_a then a else b in
-  (* Interpret effects as a perfect in-memory network: every Send /
-     Chord_send is re-decoded and stepped into the destination engine at
-     the same instant. *)
+  (* Interpret effects as a perfect in-memory network: every Send is
+     re-decoded and stepped into the destination engine at the same
+     instant. *)
   let rec interpret now src effs =
     List.iter
       (function
