@@ -436,13 +436,7 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
       progress (Printf.sprintf "ring converged %.0f ms after last join" ms)
   | None -> progress "warning: ring did not converge within 120 s");
   (* Sped-up soft state so recovery fits in a short demo horizon. *)
-  let host_config =
-    {
-      I3.Host.refresh_period = 2_000.;
-      cache_ttl = 4_000.;
-      ack_grace = 5_000.;
-    }
-  in
+  let host_config = { I3.Host.refresh_period = 2_000.; cache_ttl = 4_000. } in
   let recv = I3.Dynamic.new_host d ~site:0 ~config:host_config () in
   let send = I3.Dynamic.new_host d ~site:1 ~config:host_config () in
   let id = I3.Host.new_private_id recv in

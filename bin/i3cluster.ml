@@ -370,7 +370,7 @@ let run_chaos () =
       ~config:
         {
           Transport.Client.default_config with
-          refresh_period_ms = 1_500.;
+          refresh_period = 1_500.;
         }
       ?faulty ~rng:(Rng.split rng)
       ~gateways:[ List.hd (Harness.Cluster.addrs cluster) ]
@@ -436,7 +436,7 @@ let run_chaos () =
   Harness.Cluster.run_schedule ?faulty
     ~tick:(fun ~now_ms ->
       ignore (Transport.Client.wait client ~timeout:0.005);
-      Transport.Client.poll client ~now:now_ms;
+      Transport.Client.poll client;
       Harness.Live.flow_tick live flow ~now_ms;
       Harness.Live.monitor_tick mon ~now_ms;
       Harness.Telemetry.tick tel ~now_ms)

@@ -1,6 +1,12 @@
-(** End-host library: the public i3 API of Fig. 1(a) plus the client-side
-    machinery the paper describes — soft-state refresh, the sender's
-    server cache, challenge handling, backup triggers, and mobility.
+(** End-host library: the public i3 API of Fig. 1(a) on the simulated
+    network.
+
+    A thin driver of {!Host_engine}, the one end-host protocol core
+    (soft-state refresh with retry and re-homing, the sender's server
+    cache, challenge handling) that [Transport.Client] drives over UDP.
+    This module registers the host on a [Net], spends the core's effects
+    there and keeps one {!Sim.Engine} wakeup re-armed from the core's
+    timer.
 
     A host knows one or more i3 servers (its gateways, Sec. II-C); that is
     all it needs.  Its three core operations are
@@ -8,14 +14,9 @@
     (multicast, anycast, mobility, service composition) is built from
     these by the {!I3apps} layer. *)
 
-type config = {
-  refresh_period : float;
-      (** ms between trigger refreshes; paper/prototype: 30 000 *)
-  cache_ttl : float;
-      (** how long a learned prefix->server mapping is trusted *)
-  ack_grace : float;
-      (** re-home to the next gateway if a trigger goes unacknowledged this
-          long (server failure recovery, Sec. IV-C) *)
+type config = Host_engine.config = {
+  refresh_period : float;  (** ms from an ack to the next refresh *)
+  cache_ttl : float;  (** how long a learned prefix->server mapping is trusted *)
 }
 
 val default_config : config
@@ -39,13 +40,7 @@ val create :
     delivery records the terminal [Deliver] event.
 
     With a [spans] collector (default {!Obs.Span.disabled}) the host
-    emits control-plane spans: one [i3.trigger_insert] /
-    [i3.trigger_refresh] per insert round-trip (closed by the server's
-    ack, or [Timeout] at the next refresh round; challenges and gateway
-    rotations annotated), and one [i3.first_packet] per gateway detour
-    toward an uncached prefix, linked to the provoking packet's
-    data-plane trace id and closed when the responsible server's address
-    lands in the sender cache. *)
+    emits the control-plane spans described in {!Host_engine}. *)
 
 val addr : t -> Packet.addr
 val site : t -> int
@@ -74,7 +69,7 @@ val remove_trigger : t -> Id.t -> unit
 val active_triggers : t -> Trigger.t list
 
 val refresh_now : t -> unit
-(** Force an immediate refresh round (tests / explicit recovery). *)
+(** Re-insert every binding now, as fresh inserts. *)
 
 (** {1 Sending} *)
 
@@ -107,7 +102,7 @@ val cached_server_for : t -> Id.t -> Packet.addr option
 
 val cache_size : t -> int
 val gateway : t -> Packet.addr
-(** Current gateway (rotates on persistent ack loss). *)
+(** Current gateway (rotates after {!Host_engine.round} misses). *)
 
 val new_private_id : t -> Id.t
 (** A fresh random identifier for a private trigger (Sec. IV-B). *)

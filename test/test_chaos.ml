@@ -4,24 +4,21 @@
    paper's robustness story (Secs. IV-C, V-C) exercised end to end:
    partitions heal, killed gateways rotate away, burst loss only delays
    convergence, gray links are routed around, and soft state repairs
-   every trigger within [refresh_period + ack_grace].
+   every trigger within [refresh_period + Host_engine.max_retry_gap_ms].
 
    Every scenario is seed-deterministic: the same seed replays the same
    trajectory, which is what turns a chaos run into a regression test.
    The matrix runs the core scenarios under three distinct seeds. *)
 
 (* Aggressive host timers so recovery bounds are small in virtual time:
-   2 s refresh, 4 s cache TTL, re-home after 5 s of unacked refreshes. *)
-let chaos_host_config =
-  {
-    I3.Host.refresh_period = 2_000.;
-    cache_ttl = 4_000.;
-    ack_grace = 5_000.;
-  }
+   2 s refresh, 4 s cache TTL. *)
+let chaos_host_config = { I3.Host.refresh_period = 2_000.; cache_ttl = 4_000. }
 
+(* Once the ring has healed, a kept binding's next insert is at most one
+   refresh period away, or one retry gap when its inserts were going
+   unacked: 2 000 + 2 650 = 4 650 ms of virtual time. *)
 let repair_bound =
-  chaos_host_config.I3.Host.refresh_period
-  +. chaos_host_config.I3.Host.ack_grace
+  chaos_host_config.I3.Host.refresh_period +. I3.Host_engine.max_retry_gap_ms
 
 (* Ten servers at ten distinct sites, so site-set partitions and gray
    links cut between servers (join order = site index).  Each deployment
@@ -116,9 +113,9 @@ let check_recovered ~what ~seed d recv flow monitor ~fault_at =
   let rng = probe_rng (seed + 1) in
   let conv = Eval.Recovery.converges_within ~budget:120_000. rng d in
   Alcotest.(check bool) (what ^ ": ring re-converged") true (conv <> None);
-  (* The paper's repair bound: after one refresh round plus the ack grace
-     period, every trigger the host keeps alive is stored again at the
-     (now unique) responsible server. *)
+  (* The paper's repair bound: within one refresh period (or one retry
+     gap) of the heal, every trigger the host keeps alive is stored again
+     at the (now unique) responsible server. *)
   I3.Dynamic.run_for d repair_bound;
   Alcotest.(check bool)
     (what ^ ": triggers conserved") true
@@ -198,8 +195,8 @@ let scenario_kill_owner ~seed () =
   I3.Dynamic.kill_server d victim;
   (* The receiver's refreshes go unacked until the ring heals around the
      dead server and a refresh lands at the new owner — the killed
-     server's triggers must be deliverable again within the paper's
-     [refresh_period + ack_grace] repair bound of the heal. *)
+     server's triggers must be deliverable again within the
+     [refresh_period + max_retry_gap_ms] repair bound of the heal. *)
   I3.Dynamic.run_for d 20_000.;
   check_recovered ~what:"kill owner" ~seed d recv flow monitor ~fault_at
 
@@ -320,14 +317,14 @@ let test_gray_link_between_successors () =
   I3.Dynamic.run_for d 5_000.;
   ignore (check_recovered ~what:"gray link" ~seed d recv flow monitor ~fault_at)
 
-(* --- satellite: gateway rotation after ack_grace expiry --- *)
+(* --- satellite: gateway rotation after a round of misses --- *)
 
-let test_gateway_rotation_after_ack_grace () =
+let test_gateway_rotation_after_misses () =
   (* Static ring with NO membership repair (Deployment.kill_server): once
      the trigger's owner dies, refresh acks stop for good, so every
-     refresh tick past [ack_grace] must rotate the host to its next
-     gateway (Sec. IV-C) — deterministically, unlike the dynamic ring
-     where healing races the grace period. *)
+     round of misses at the current gateway must rotate the host to its
+     next one (Sec. IV-C) — deterministically, unlike the dynamic ring
+     where healing races the retries. *)
   let dep =
     I3.Deployment.create ~metrics:(Obs.Metrics.create ()) ~seed:51
       ~n_servers:4 ()
@@ -361,13 +358,7 @@ let test_send_with_backup_fallthrough () =
      lifetimes) so the primary trigger is NOT re-inserted after its
      server dies: the only path left is the [primary; backup] stack
      falling through to the backup at Id.antipode (Sec. IV-C). *)
-  let slow_host =
-    {
-      I3.Host.refresh_period = 600_000.;
-      cache_ttl = 4_000.;
-      ack_grace = 1_200_000.;
-    }
-  in
+  let slow_host = { I3.Host.refresh_period = 600_000.; cache_ttl = 4_000. } in
   let server_config =
     { I3.Server.default_config with trigger_lifetime = 3_600_000. }
   in
@@ -451,8 +442,8 @@ let () =
         ] );
       ( "host recovery",
         [
-          Alcotest.test_case "gateway rotation after ack_grace" `Slow
-            test_gateway_rotation_after_ack_grace;
+          Alcotest.test_case "gateway rotation after misses" `Slow
+            test_gateway_rotation_after_misses;
           Alcotest.test_case "backup trigger fall-through" `Slow
             test_send_with_backup_fallthrough;
         ] );

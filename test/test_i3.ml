@@ -640,6 +640,39 @@ let test_e2e_refresh_keeps_alive () =
   I3.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "alive after 200s" [ "later" ] (got ())
 
+let test_e2e_refresh_off_expiry_edge () =
+  (* Default host timers under 20 ms of latency jitter: each refresh must
+     reach the server well before the previous insert expires, so every
+     trigger is matchable at every sample over four lifetimes.  A refresh
+     period equal to the lifetime loses a trigger for a few ms whenever
+     one refresh travels slower than the one before; sixteen hosts, each
+     with its own refresh phase, spread those gaps over the 50 ms
+     sampling grid. *)
+  let d = deployment ~seed:38 ~n_servers:8 () in
+  Net.set_jitter (I3.Deployment.net d) 20.;
+  let ids =
+    List.init 16 (fun _ ->
+        let h = I3.Deployment.new_host d () in
+        let id = I3.Host.new_private_id h in
+        I3.Host.insert_trigger h id;
+        id)
+  in
+  I3.Deployment.run_for d 500.;
+  let absent = ref 0 in
+  for _ = 1 to int_of_float (4. *. I3.Trigger.default_lifetime_ms /. 50.) do
+    I3.Deployment.run_for d 50.;
+    List.iter
+      (fun id ->
+        if
+          I3.Trigger_table.find_matches
+            (I3.Server.triggers (I3.Deployment.responsible_server d id))
+            ~now:(I3.Deployment.now d) id
+          = []
+        then incr absent)
+      ids
+  done;
+  Alcotest.(check int) "samples without their trigger" 0 !absent
+
 let test_e2e_remove_trigger () =
   let d = deployment ~seed:20 ~n_servers:8 () in
   let recv = I3.Deployment.new_host d () in
@@ -691,17 +724,16 @@ let test_e2e_backup_trigger_failover () =
 
 let test_e2e_failover_refresh_recovers_primary () =
   let d = deployment ~seed:23 ~n_servers:32 () in
-  let host_cfg = { I3.Host.default_config with I3.Host.ack_grace = 40_000. } in
-  let recv = I3.Deployment.new_host d ~config:host_cfg () in
+  let recv = I3.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
   I3.Deployment.run_for d 1_000.;
   let victim = Chord.Oracle.responsible (I3.Deployment.oracle d) id in
   I3.Deployment.fail_server d victim;
-  (* refreshes keep hitting the cached dead server until the ack-grace
-     lapses; then the host falls back to a gateway and the trigger lands
-     on the new responsible server *)
+  (* the next refresh hits the cached dead server; after two misses the
+     host drops it, re-homes through a gateway and the trigger lands on
+     the new responsible server *)
   I3.Deployment.run_for d 110_000.;
   let now_responsible = I3.Deployment.responsible_server d id in
   Alcotest.(check bool) "trigger re-homed" true
@@ -728,7 +760,9 @@ let test_e2e_gateway_rotation () =
   Alcotest.(check int) "starts on the dead gateway" (I3.Server.addr dead)
     (I3.Host.gateway host);
   I3.Host.insert_trigger host own;
-  I3.Deployment.run_for d 5_000.;
+  (* Four inserts fit in 1.5 s, all to the dead gateway; the fifth miss
+     (at ~2 s) rotates. *)
+  I3.Deployment.run_for d 1_500.;
   let responsible () = I3.Deployment.responsible_server d own in
   Alcotest.(check bool) "not stored yet" true
     (I3.Trigger_table.find_matches
@@ -1104,6 +1138,8 @@ let () =
           Alcotest.test_case "match-required drops" `Quick test_e2e_match_required_drops;
           Alcotest.test_case "soft-state expiry" `Quick test_e2e_soft_state_expiry;
           Alcotest.test_case "refresh keeps alive" `Quick test_e2e_refresh_keeps_alive;
+          Alcotest.test_case "refresh off the expiry edge" `Quick
+            test_e2e_refresh_off_expiry_edge;
           Alcotest.test_case "remove trigger" `Quick test_e2e_remove_trigger;
           Alcotest.test_case "mobility" `Quick test_e2e_mobility;
           Alcotest.test_case "backup trigger failover" `Quick test_e2e_backup_trigger_failover;

@@ -276,16 +276,12 @@ let test_deployment_over_koorde () =
 
 (* --- chaos: Dynamic deployment on the Koorde substrate under churn --- *)
 
-let chaos_host_config =
-  {
-    I3.Host.refresh_period = 2_000.;
-    cache_ttl = 4_000.;
-    ack_grace = 5_000.;
-  }
+let chaos_host_config = { I3.Host.refresh_period = 2_000.; cache_ttl = 4_000. }
 
+(* Within one refresh period, or one retry gap, of the ring healing:
+   4 650 ms of virtual time. *)
 let repair_bound =
-  chaos_host_config.I3.Host.refresh_period
-  +. chaos_host_config.I3.Host.ack_grace
+  chaos_host_config.I3.Host.refresh_period +. I3.Host_engine.max_retry_gap_ms
 
 let scenario_koorde_churn ~seed () =
   let metrics = Obs.Metrics.create () in

@@ -73,7 +73,9 @@ let () =
     (String.concat "," (List.map string_of_int ports));
 
   (* The service chain: owner(a) = daemon 1, owner(b) = daemon 2, so
-     with the gateway at daemon 0 the packet touches all three. *)
+     with the gateway at daemon 0 the packet touches all three.  The
+     client keeps no sender cache (cache_ttl = 0), so every probe enters
+     at the gateway instead of going straight to daemon 1. *)
   let rec pick_owned_by idx =
     let id = Id.random rng in
     if Harness.Cluster.owner_index cluster id = idx then id
@@ -83,7 +85,9 @@ let () =
 
   let udp = Transport.Udp.create () in
   let client =
-    Transport.Client.create ~metrics ~rng:(Rng.split rng)
+    Transport.Client.create ~metrics
+      ~config:{ Transport.Client.default_config with cache_ttl = 0. }
+      ~rng:(Rng.split rng)
       ~gateways:[ List.hd (Harness.Cluster.addrs cluster) ]
       udp
   in
@@ -123,7 +127,7 @@ let () =
         ()
     end;
     ignore (Transport.Client.wait client ~timeout:0.01);
-    Transport.Client.poll client ~now:(wall_ms ());
+    Transport.Client.poll client;
     Harness.Telemetry.tick tel ~now_ms:(wall_ms ());
     spanning :=
       List.find_opt

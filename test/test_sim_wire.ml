@@ -1,16 +1,20 @@
 (* Sim-vs-wire differential: one seeded scenario run twice through the
-   same protocol core — once as an I3.Dynamic fleet on the simulated
-   network, once as three in-process I3.Engine instances, each driven by
-   a Transport.Driver over its own loopback Transport.Udp socket, with
-   this process acting as the end host.  Both runs must deliver the same
-   payloads and hold every inserted trigger at its responsible server.
+   same protocol cores — once as an I3.Dynamic fleet with I3.Host end
+   hosts on the simulated network, once as three in-process I3.Engine
+   instances, each driven by a Transport.Driver over its own loopback
+   Transport.Udp socket, with a forked child process as the
+   Transport.Client end host.  Both runs must deliver the same payloads
+   and hold every inserted trigger at its responsible server.
 
    Scenario: three servers, one rendezvous trigger (id -> host) and one
    two-id chain (head -> [tail], tail -> host); one packet to the
-   rendezvous id and one to the chain head.
+   rendezvous id and one to the chain head.  It runs under two server
+   configs: challenges off, and [challenge_hosts] on, where every
+   trigger pointing at the host draws a challenge the host must answer
+   (Sec. IV-J3) before its insert is acked.
 
-   Where loopback UDP is unavailable (sandboxes) the wire half skips, as
-   test_interop does. *)
+   Where loopback UDP or fork is unavailable (sandboxes) the wire half
+   skips, as test_interop does. *)
 
 let seed = 17
 let name s = Id.name_hash (Printf.sprintf "sim-wire-%d-%s" seed s)
@@ -26,13 +30,16 @@ let bindings host =
     (chain_tail, [ I3.Packet.Saddr host ]);
   ]
 
+let ids = [ rendezvous; chain_head; chain_tail ]
 let sends = [ (rendezvous, "rendezvous"); (chain_head, "chain") ]
 let expected = List.sort compare (List.map snd sends)
 
 (* --- through the simulated fleet --- *)
 
-let run_sim () =
-  let d = I3.Dynamic.create ~metrics:(Obs.Metrics.create ()) ~seed () in
+let run_sim server_config =
+  let d =
+    I3.Dynamic.create ~metrics:(Obs.Metrics.create ()) ~seed ~server_config ()
+  in
   for site = 0 to 2 do
     ignore (I3.Dynamic.add_server d ~site ());
     I3.Dynamic.run_for d 2_000.
@@ -72,14 +79,14 @@ type node = {
 let start = Unix.gettimeofday ()
 let clock () = (Unix.gettimeofday () -. start) *. 1000.
 
-let make_node ~i ~join =
+let make_node ~server_config ~i ~join =
   let udp = Transport.Udp.create () in
   let addr = Transport.Udp.local_addr udp in
   let engine =
     I3.Engine.create ~seed:(seed + i) ~addr
       ~id:(Id.routing_key (name (Printf.sprintf "server-%d" i)))
-      ~join ~chord_config:fast_chord ~metrics:(Obs.Metrics.create ())
-      ~now:(clock ()) ()
+      ~join ~config:server_config ~chord_config:fast_chord
+      ~metrics:(Obs.Metrics.create ()) ~now:(clock ()) ()
   in
   let backlog = Queue.create () in
   Transport.Udp.set_handler udp (fun ~src bytes -> Queue.add (src, bytes) backlog);
@@ -93,7 +100,7 @@ let make_node ~i ~join =
 
 (* Run every node's receive-step-tick turn until [until] holds or
    [budget_ms] of wall time passed. *)
-let pump nodes host ~budget_ms until =
+let pump nodes ~budget_ms until =
   let deadline = clock () +. budget_ms in
   let rec go () =
     if until () then true
@@ -110,7 +117,7 @@ let pump nodes host ~budget_ms until =
           | Some due when due <= now -> Transport.Driver.tick n.driver ~now
           | _ -> ())
         nodes;
-      ignore (Transport.Udp.wait host ~timeout:0.002);
+      Unix.sleepf 0.001;
       go ()
     end
   in
@@ -154,56 +161,94 @@ let conserved nodes ids =
             owners)
     ids
 
-let run_wire () =
+(* The end host, in a forked child: insert every binding through the
+   blocking [Client.insert], send the packets, and write one line per
+   delivered payload (or a "gave up" line) to [out]. *)
+let run_client ~gateway out =
+  let udp = Transport.Udp.create () in
+  let client =
+    Transport.Client.create ~metrics:(Obs.Metrics.create ())
+      ~rng:(Rng.of_int seed) ~gateways:[ gateway ] udp
+  in
+  let host = Transport.Client.local_addr client in
+  let got = ref [] in
+  Transport.Client.on_deliver client (fun ~stack:_ ~payload ->
+      got := payload :: !got);
+  let lines =
+    List.concat_map
+      (fun (id, stack) ->
+        match
+          Transport.Client.insert client
+            (I3.Trigger.make ~id ~stack ~owner:host)
+        with
+        | `Acked -> []
+        | `Gave_up -> [ "gave up" ])
+      (bindings host)
+  in
+  List.iter
+    (fun (id, payload) ->
+      Transport.Client.send_data client ~stack:[ I3.Packet.Sid id ] ~payload ())
+    sends;
+  let deadline = clock () +. 2_000. in
+  while List.length !got < List.length sends && clock () < deadline do
+    ignore (Transport.Client.wait client ~timeout:0.01);
+    Transport.Client.poll client
+  done;
+  List.iter (fun l -> output_string out (l ^ "\n")) (lines @ !got)
+
+let run_wire server_config =
   match Transport.Udp.create () with
   | exception Unix.Unix_error _ -> None
-  | host ->
-      let first = make_node ~i:0 ~join:[] in
-      let contact = [ Transport.Udp.local_addr first.udp ] in
+  | probe -> (
+      Transport.Udp.close probe;
+      let first = make_node ~server_config ~i:0 ~join:[] in
+      let gateway = Transport.Udp.local_addr first.udp in
       let nodes =
-        first :: List.init 2 (fun i -> make_node ~i:(i + 1) ~join:contact)
+        first
+        :: List.init 2 (fun i ->
+               make_node ~server_config ~i:(i + 1) ~join:[ gateway ])
       in
-      let host_addr = Transport.Udp.local_addr host in
-      let got = ref [] in
-      Transport.Udp.set_handler host (fun ~src:_ bytes ->
-          match I3.Codec.decode bytes with
-          | Ok (I3.Message.Deliver { payload; _ }) -> got := payload :: !got
-          | _ -> ());
-      let to_gateway msg =
-        Transport.Udp.send host
-          ~dst:(Transport.Udp.local_addr first.udp)
-          (I3.Codec.encode msg)
+      let close_nodes () =
+        List.iter (fun n -> Transport.Udp.close n.udp) nodes
       in
-      if not (pump nodes host ~budget_ms:10_000. (fun () -> ring_formed nodes))
-      then Alcotest.fail "loopback ring did not form within 10 s";
-      List.iter
-        (fun (id, stack) ->
-          to_gateway
-            (I3.Message.Insert
-               { trigger = I3.Trigger.make ~id ~stack ~owner:host_addr; token = None }))
-        (bindings host_addr);
-      let ids = List.map fst (bindings host_addr) in
-      ignore (pump nodes host ~budget_ms:2_000. (fun () -> conserved nodes ids));
-      List.iter
-        (fun (id, payload) ->
-          to_gateway
-            (I3.Message.Data
-               (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload ())))
-        sends;
-      ignore
-        (pump nodes host ~budget_ms:2_000. (fun () ->
-             List.length !got >= List.length sends));
-      let result = (List.sort compare !got, conserved nodes ids) in
-      List.iter (fun n -> Transport.Udp.close n.udp) nodes;
-      Transport.Udp.close host;
-      Some result
+      if not (pump nodes ~budget_ms:10_000. (fun () -> ring_formed nodes)) then
+        Alcotest.fail "loopback ring did not form within 10 s";
+      let rd, wr = Unix.pipe () in
+      match Unix.fork () with
+      | exception Unix.Unix_error _ ->
+          close_nodes ();
+          None
+      | 0 ->
+          Unix.close rd;
+          let out = Unix.out_channel_of_descr wr in
+          (try run_client ~gateway out
+           with e -> output_string out (Printexc.to_string e ^ "\n"));
+          close_out_noerr out;
+          Unix._exit 0
+      | pid ->
+          Unix.close wr;
+          let exited () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ -> false
+            | _ -> true
+          in
+          if not (pump nodes ~budget_ms:20_000. exited) then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          end;
+          let inc = Unix.in_channel_of_descr rd in
+          let lines = In_channel.input_lines inc in
+          close_in inc;
+          let result = (List.sort compare lines, conserved nodes ids) in
+          close_nodes ();
+          Some result)
 
-let test_differential () =
-  let sim_got, sim_conserved = run_sim () in
+let test_differential server_config () =
+  let sim_got, sim_conserved = run_sim server_config in
   Alcotest.(check (list string)) "sim delivers every payload" expected sim_got;
   Alcotest.(check bool) "sim conserves triggers" true sim_conserved;
-  match run_wire () with
-  | None -> print_endline "SKIP sim-vs-wire: loopback UDP unavailable"
+  match run_wire server_config with
+  | None -> print_endline "SKIP sim-vs-wire: loopback UDP or fork unavailable"
   | Some (wire_got, wire_conserved) ->
       Alcotest.(check (list string)) "wire delivers what sim delivers" sim_got
         wire_got;
@@ -215,6 +260,9 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "same scenario, same deliveries" `Slow
-            test_differential;
+            (test_differential I3.Server.default_config);
+          Alcotest.test_case "same deliveries under host challenges" `Slow
+            (test_differential
+               { I3.Server.default_config with challenge_hosts = true });
         ] );
     ]
