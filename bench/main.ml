@@ -310,6 +310,79 @@ let trigger_table_rates () =
   in
   (insert_rate, match_rate)
 
+(* Soft-state steady state at [resident] triggers, the load a server's
+   table carries in a daemon: every trigger is refreshed once per 10 s
+   with a 30 s lifetime (at evenly staggered virtual times), each
+   refresh sits beside two matches on resident ids, and a sweep runs
+   every 5 s.  After four warm-up rounds (past one lifetime, so the
+   expiry heap holds its steady-state load) one more round is measured
+   in batches: minor words per refresh and per match, and the words
+   reachable from the table per trigger, not counting the triggers
+   themselves.  All three are deterministic for a given compiler, so
+   they carry the regression gate where the wall-clock rates cannot. *)
+let soft_state_probe ~resident =
+  let lifetime = 30_000. and period = 10_000. and sweep_every = 5_000. in
+  let rng = Rng.of_int 29 in
+  let triggers =
+    Array.init resident (fun i ->
+        I3.Trigger.to_host ~id:(Id.random rng) ~owner:(i land 0xffff))
+  in
+  let tbl = I3.Trigger_table.create () in
+  let dt = period /. float_of_int resident in
+  let clock = ref 0. and next_sweep = ref sweep_every in
+  let refresh i =
+    clock := !clock +. dt;
+    I3.Trigger_table.insert tbl ~now:!clock ~expires:(!clock +. lifetime)
+      triggers.(i)
+  in
+  let matches i =
+    for k = 0 to 1 do
+      let probe = triggers.(((2 * i) + k) * 7919 mod resident) in
+      ignore (I3.Trigger_table.find_matches tbl ~now:!clock probe.I3.Trigger.id)
+    done
+  in
+  let sweep () =
+    if !clock >= !next_sweep then begin
+      ignore (I3.Trigger_table.expire tbl ~now:!clock);
+      next_sweep := !next_sweep +. sweep_every
+    end
+  in
+  for _ = 1 to 4 do
+    for i = 0 to resident - 1 do
+      refresh i;
+      matches i;
+      sweep ()
+    done
+  done;
+  let batch = 1000 in
+  let refresh_words = ref 0. and match_words = ref 0. in
+  let i = ref 0 in
+  while !i < resident do
+    let hi = min resident (!i + batch) in
+    let w0 = Gc.minor_words () in
+    for j = !i to hi - 1 do
+      refresh j
+    done;
+    let w1 = Gc.minor_words () in
+    for j = !i to hi - 1 do
+      matches j
+    done;
+    let w2 = Gc.minor_words () in
+    refresh_words := !refresh_words +. (w1 -. w0);
+    match_words := !match_words +. (w2 -. w1);
+    sweep ();
+    i := hi
+  done;
+  let reachable =
+    Obj.reachable_words (Obj.repr (tbl, triggers))
+    - Obj.reachable_words (Obj.repr triggers)
+    - 3 (* the pair itself *)
+  in
+  let n = float_of_int resident in
+  ( !refresh_words /. n,
+    !match_words /. (2. *. n),
+    float_of_int reachable /. n )
+
 (* Per-probe match latency with a large resident set: the tentpole claim
    is flat p99 at 10^6 triggers (ROADMAP item 3), so each [find_matches]
    is timed individually with the ns monotonic clock and the tail is
@@ -348,8 +421,13 @@ let section_trigger_table () =
   let p50 = pct 0.5 and p99 = pct 0.99 in
   Printf.printf "  rates: %.3g inserts/s, %.3g matches/s\n" insert_rate
     match_rate;
-  Printf.printf "  match latency at %d resident: p50=%d ns  p99=%d ns\n\n"
+  Printf.printf "  match latency at %d resident: p50=%d ns  p99=%d ns\n"
     resident p50 p99;
+  let refresh_words, match_words, live_words = soft_state_probe ~resident in
+  Printf.printf
+    "  soft-state steady state at %d resident: %.2f words/refresh, %.2f \
+     words/match, %.2f live words/trigger\n\n"
+    resident refresh_words match_words live_words;
   [
     ( "trigger_table",
       Json.Obj
@@ -360,6 +438,9 @@ let section_trigger_table () =
           ("match_probes", Json.Int probes);
           ("match_p50_ns_1e6", Json.Float (float_of_int p50));
           ("match_p99_ns_1e6", Json.Float (float_of_int p99));
+          ("refresh_minor_words", Json.Float refresh_words);
+          ("match_minor_words", Json.Float match_words);
+          ("live_words_per_trigger", Json.Float live_words);
         ] );
   ]
 

@@ -141,13 +141,13 @@ let render ?(out = stdout) results =
       (List.length results)
 
 (* Only metrics that are deterministic functions of the seeds and the
-   virtual clock are gated tightly.  Wall-clock numbers (Bechamel
-   timings, generated_at) vary by machine; the trigger-table hot-path
-   rates and match p99 are wall-clock too, but they guard the data
-   plane's core structure, so they are gated with tolerances wide
-   enough to absorb machine noise while still catching an
-   order-of-magnitude collapse (e.g. the trie degenerating back to a
-   linear scan). *)
+   virtual clock (or, for allocation counts, of the compiler) are gated
+   tightly.  Wall-clock numbers (Bechamel timings, generated_at) vary
+   by machine; the trigger-table hot-path rates and match p99 are
+   wall-clock too, but they guard the data plane's core structure, so
+   they are gated with tolerances wide enough to absorb machine noise
+   while still catching an order-of-magnitude collapse (e.g. the trie
+   degenerating back to a linear scan). *)
 let default_checks =
   [
     check "delivery.ratio" ~direction:Higher_better ~rel_tol:0.05;
@@ -205,6 +205,17 @@ let default_checks =
       ~rel_tol:0.85;
     check "trigger_table.match_p99_ns_1e6" ~direction:Lower_better
       ~rel_tol:9. ~abs_tol:10_000.;
+    (* Trigger-table soft-state steady state: allocation per refresh and
+       per match, and words held per resident trigger.  Deterministic for
+       a given compiler; the slack absorbs compiler-version drift, not
+       a structural change (the generation-counter heap this replaced
+       sat at 20 / 25 / 49.6). *)
+    check "trigger_table.refresh_minor_words" ~direction:Lower_better
+      ~rel_tol:0.1 ~abs_tol:1.;
+    check "trigger_table.match_minor_words" ~direction:Lower_better
+      ~rel_tol:0.1 ~abs_tol:1.;
+    check "trigger_table.live_words_per_trigger" ~direction:Lower_better
+      ~rel_tol:0.05 ~abs_tol:1.;
   ]
 
 (* Koorde's headline claim, checked on every run regardless of baseline:

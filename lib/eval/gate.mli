@@ -9,9 +9,11 @@
     silently lost a metric); missing-from-baseline passes with a
     re-baseline nudge (a new metric cannot regress).
 
-    {!default_checks} gates only metrics that are deterministic given
-    the bench seeds and the virtual clock — never wall-clock rates,
-    which vary by machine. *)
+    {!default_checks} gates tightly only metrics that are deterministic
+    given the bench seeds and the virtual clock, or (allocation counts)
+    given the compiler.  Three wall-clock trigger-table numbers (insert
+    and match rates, match p99) are gated too, with tolerances so wide
+    that only an order-of-magnitude collapse fails them. *)
 
 type direction = Higher_better | Lower_better | Exact
 
@@ -62,9 +64,11 @@ val render : ?out:out_channel -> result list -> unit
     line. *)
 
 val default_checks : check list
-(** Deterministic metrics only: delivery ratio, routing-hop percentiles,
-    orphan count, span-latency percentiles, health verdict counts, and
-    the substrate bakeoff's hop/state pins. *)
+(** Delivery ratio, routing-hop percentiles, orphan count, span-latency
+    percentiles, health verdict counts, codec/engine/scrape shape pins,
+    the substrate bakeoff's hop/state pins, the trigger table's
+    soft-state allocation and footprint proxies, and the three wide
+    wall-clock trigger-table checks. *)
 
 val default_relations : relation list
 (** Koorde's O(1)-state claim: both bakeoff degrees hold strictly less

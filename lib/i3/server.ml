@@ -56,6 +56,8 @@ type counters = {
   c_pushbacks : Obs.Metrics.counter;
   c_cache_hits : Obs.Metrics.counter;
   c_cache_pushes : Obs.Metrics.counter;
+  c_clamp_cache : Obs.Metrics.counter;
+  c_clamp_replica : Obs.Metrics.counter;
 }
 
 let make_counters metrics inst =
@@ -65,6 +67,7 @@ let make_counters metrics inst =
   in
   let drop cause = counter ~labels:[ ("cause", cause) ] "i3.drops" in
   let insert result = counter ~labels:[ ("result", result) ] "i3.inserts" in
+  let clamp kind = counter ~labels:[ ("kind", kind) ] "i3.lifetime_clamps" in
   {
     c_received = counter "i3.data_received";
     c_forwarded = counter "i3.data_forwarded";
@@ -82,6 +85,8 @@ let make_counters metrics inst =
     c_pushbacks = counter "i3.pushbacks_sent";
     c_cache_hits = counter "i3.cache_hits";
     c_cache_pushes = counter "i3.cache_pushes";
+    c_clamp_cache = clamp "cache_push";
+    c_clamp_replica = clamp "replica";
   }
 
 type ring_view = {
@@ -161,6 +166,16 @@ let is_responsible t i3_id = t.view.owns i3_id
 let insert_soft t table ~expires trigger =
   if not (expires > now t) then Obs.Metrics.incr t.c.c_ins_expired
   else Trigger_table.insert table ~now:(now t) ~expires trigger
+
+(* A lifetime off the wire is capped at what this server would grant
+   itself, so no peer can pin a cached or mirrored trigger beyond the
+   soft-state bound (NaN passes through: [insert_soft] drops it). *)
+let capped counter ~cap lifetime =
+  if lifetime > cap then begin
+    Obs.Metrics.incr counter;
+    cap
+  end
+  else lifetime
 
 let send t dst msg = t.emit ~dst msg
 
@@ -349,6 +364,9 @@ let handle_cache_push t entries =
   let time = now t in
   List.iter
     (fun ((tr : Trigger.t), remaining) ->
+      let remaining =
+        capped t.c.c_clamp_cache ~cap:t.cfg.cache_push_lifetime remaining
+      in
       insert_soft t t.cache ~expires:(time +. remaining) tr)
     entries
 
@@ -382,6 +400,9 @@ let handle t ~src (msg : Message.t) =
     | Message.Cache_push { triggers } -> handle_cache_push t triggers
     | Message.Pushback { id; dead } -> handle_pushback t ~id ~dead
     | Message.Replica { trigger; lifetime } ->
+        let lifetime =
+          capped t.c.c_clamp_replica ~cap:t.cfg.trigger_lifetime lifetime
+        in
         insert_soft t t.replicas ~expires:(now t +. lifetime) trigger
     | Message.Ping { nonce } ->
         send t src

@@ -14,9 +14,13 @@
 
     Entries are soft state with absolute expiry timestamps (virtual-time
     ms); refreshing re-inserts the same binding with a later deadline.
-    Expiry is lazy: deadlines sit in a min-heap with per-entry generation
-    counters, so [expire] touches only due entries instead of sweeping the
-    whole table. *)
+    Expiry is lazy: every entry owns one slot of a min-heap of unboxed
+    deadlines.  A refresh only moves the entry's deadline; when [expire]
+    pops a slot whose entry was refreshed, it re-arms the slot at the
+    current deadline, so [expire] touches only due slots instead of
+    sweeping the whole table.  Trie nodes are inline records and cache
+    a stale-high bound over their subtree's deadlines as int ms (rounded
+    up), letting a match skip dead subtrees. *)
 
 type t
 

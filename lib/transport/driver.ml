@@ -26,6 +26,7 @@ type t = {
   labels : (string * string) list;
   c_frames : Obs.Metrics.counter;
   c_sends : Obs.Metrics.counter;
+  c_send_errors : Obs.Metrics.counter;
   c_decode_errors : Obs.Metrics.counter;
   rx_kind : (int, Obs.Metrics.counter) Hashtbl.t;
   tx_kind : (int, Obs.Metrics.counter) Hashtbl.t;
@@ -44,6 +45,7 @@ let create ?(metrics = Obs.Metrics.default) ?(instance = "driver") ~send
     labels;
     c_frames = Obs.Metrics.counter metrics ~labels "driver.frames";
     c_sends = Obs.Metrics.counter metrics ~labels "driver.sends";
+    c_send_errors = Obs.Metrics.counter metrics ~labels "driver.send_errors";
     c_decode_errors =
       Obs.Metrics.counter metrics
         ~labels:(labels @ [ ("proto", "frame") ])
@@ -80,16 +82,20 @@ let count_kind t cache dir bytes =
   Obs.Metrics.incr c
 
 (* Every step reports the engine's earliest deadline as its last
-   effect, or no [Set_timer] at all when the wheel is empty. *)
+   effect, or no [Set_timer] at all when the wheel is empty.  A send
+   the kernel refuses for good (a broadcast [Saddr] is EACCES, port 0
+   EINVAL: both reachable from one hostile data packet) is counted and
+   skipped; the transport already retried the transient errors. *)
 let interpret t effects =
   t.next_due <- None;
   List.iter
     (fun eff ->
       match I3.Engine.encode_effect eff with
-      | Some (dst, bytes) ->
+      | Some (dst, bytes) -> (
           Obs.Metrics.incr t.c_sends;
           count_kind t t.tx_kind "tx" bytes;
-          t.send ~dst bytes
+          try t.send ~dst bytes
+          with Unix.Unix_error _ -> Obs.Metrics.incr t.c_send_errors)
       | None -> (
           match eff with
           | I3.Engine.Set_timer due -> t.next_due <- Some due

@@ -30,10 +30,14 @@ val create :
   send:(dst:int -> string -> unit) ->
   I3.Engine.t ->
   t
-(** Registers [driver.frames] / [driver.sends] counters and a
-    [wire.decode_errors] counter (labels [instance], [proto="frame"])
-    in [metrics]; undecodable inbound datagrams count there and are
-    otherwise dropped, as a daemon must.
+(** Registers [driver.frames] / [driver.sends] / [driver.send_errors]
+    counters and a [wire.decode_errors] counter (labels [instance],
+    [proto="frame"]) in [metrics]; undecodable inbound datagrams count
+    there and are otherwise dropped, as a daemon must.  A [send] that
+    raises [Unix.Unix_error] (the kernel refusing a destination for
+    good, e.g. EACCES for a broadcast [Saddr] or EINVAL for port 0)
+    counts in [driver.send_errors] and is skipped: no datagram can stop
+    the loop.  The transient errors are the transport's to retry.
 
     Traffic is also counted per wire kind: every inbound datagram
     increments [driver.rx.<kind>] and every outbound one

@@ -383,6 +383,46 @@ let test_loopback_ring_forms () =
   Alcotest.(check bool) "trigger stored at the owner across the wire" true
     (at_b > 0)
 
+(* --- lifetimes off the wire are capped --- *)
+
+(* Any peer can send a [Cache_push] or a [Replica]; a lifetime of
+   infinity or 1e300 must not pin the trigger.  Each is clamped to the
+   server's own bound (and counted), so the entry is gone once that
+   bound and one sweep have passed. *)
+let test_wire_lifetimes_capped () =
+  let metrics = Obs.Metrics.create () in
+  let e = I3.Engine.create ~seed:9 ~addr:7 ~metrics () in
+  let srv = I3.Engine.server e in
+  let cfg = I3.Server.config srv in
+  let tr name = I3.Trigger.to_host ~id:(Id.name_hash name) ~owner:0x77 in
+  let feed now frame =
+    ignore (I3.Engine.step e ~now (I3.Engine.Frame { src = 0x55; frame }))
+  in
+  feed 0. (I3.Message.Cache_push { triggers = [ (tr "pinned", infinity) ] });
+  feed 0. (I3.Message.Replica { trigger = tr "mirror"; lifetime = 1e300 });
+  let size table = I3.Trigger_table.size (table srv) in
+  Alcotest.(check int) "cached copy stored" 1 (size I3.Server.cached_triggers);
+  Alcotest.(check int) "replica stored" 1 (size I3.Server.replica_triggers);
+  let after cap = cap +. cfg.I3.Server.sweep_period in
+  ignore
+    (I3.Engine.step e ~now:(after cfg.I3.Server.cache_push_lifetime)
+       I3.Engine.Tick);
+  Alcotest.(check int) "cached copy gone after its cap" 0
+    (size I3.Server.cached_triggers);
+  ignore
+    (I3.Engine.step e ~now:(after cfg.I3.Server.trigger_lifetime)
+       I3.Engine.Tick);
+  Alcotest.(check int) "replica gone after its cap" 0
+    (size I3.Server.replica_triggers);
+  let clamps kind =
+    Obs.Metrics.counter metrics
+      ~labels:[ ("instance", "srv@7"); ("kind", kind) ]
+      "i3.lifetime_clamps"
+    |> Obs.Metrics.counter_value
+  in
+  Alcotest.(check (pair int int)) "both clamps counted" (1, 1)
+    (clamps "cache_push", clamps "replica")
+
 let () =
   Alcotest.run "engine"
     [
@@ -394,6 +434,8 @@ let () =
             test_decode_dispatch;
           Alcotest.test_case "insert then deliver (Fig. 3)" `Quick
             test_insert_then_deliver;
+          Alcotest.test_case "wire lifetimes are capped" `Quick
+            test_wire_lifetimes_capped;
           test_step_total;
         ] );
       ( "drivers",

@@ -321,6 +321,56 @@ let test_udp_oversize_rejected () =
         (fun () -> Transport.Udp.send u ~dst:(Transport.Udp.local_addr u) over);
       Transport.Udp.close u
 
+(* --- Driver over a real socket: refused sends are not fatal --- *)
+
+(* A data packet whose stack ends in a broadcast or port-0 [Saddr]
+   makes the kernel refuse the Deliver for good (EACCES, EINVAL).  The
+   driver must count each refusal, keep the daemon alive and still
+   deliver the next good packet. *)
+let test_driver_survives_refused_sends () =
+  match (Transport.Udp.create (), Transport.Udp.create ()) with
+  | exception Unix.Unix_error _ -> ()
+  | srv, sink ->
+      let metrics = Obs.Metrics.create () in
+      let addr = Transport.Udp.local_addr srv in
+      let engine = I3.Engine.create ~seed:5 ~addr ~metrics () in
+      let d =
+        Transport.Driver.create ~metrics ~instance:"srv"
+          ~send:(Transport.Udp.send srv) engine
+      in
+      let deliver_to ?(payload = "x") a =
+        I3.Codec.encode
+          (I3.Message.Data
+             (I3.Packet.make ~stack:[ I3.Packet.Saddr a ] ~payload ()))
+      in
+      let src = Transport.Udp.local_addr sink in
+      let broadcast = Transport.Udp.pack ~ip:0xffffffff ~port:9 in
+      let port0 = Transport.Udp.pack ~ip:(Transport.Udp.ip_of addr) ~port:0 in
+      Transport.Driver.on_datagram d ~now:1. ~src (deliver_to broadcast);
+      Transport.Driver.on_datagram d ~now:2. ~src (deliver_to port0);
+      let errors =
+        Obs.Metrics.counter metrics ~labels:[ ("instance", "srv") ]
+          "driver.send_errors"
+      in
+      Alcotest.(check int) "both refusals counted" 2
+        (Obs.Metrics.counter_value errors);
+      let got = ref None in
+      Transport.Udp.set_handler sink (fun ~src:_ bytes -> got := Some bytes);
+      Transport.Driver.on_datagram d ~now:3. ~src (deliver_to ~payload:"ok" src);
+      let rec wait n =
+        if n > 0 && !got = None then begin
+          ignore (Transport.Udp.wait sink ~timeout:0.1);
+          wait (n - 1)
+        end
+      in
+      wait 20;
+      (match Option.map I3.Codec.decode !got with
+      | Some (Ok (I3.Message.Deliver { payload; _ })) ->
+          Alcotest.(check string) "next good packet delivered" "ok" payload
+      | _ -> Alcotest.fail "no Deliver after the refused sends");
+      Transport.Udp.close srv;
+      Transport.Udp.close sink
+
 let () =
   Alcotest.run "transport"
     [
@@ -354,5 +404,10 @@ let () =
             test_udp_max_frame;
           Alcotest.test_case "oversize send rejected" `Quick
             test_udp_oversize_rejected;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "refused sends are counted, not fatal" `Quick
+            test_driver_survives_refused_sends;
         ] );
     ]

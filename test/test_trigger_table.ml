@@ -9,6 +9,14 @@ let qtest ?(count = 200) name gen prop =
 
 let rng0 = Rng.create 271828182845L
 
+(* [id] with bit [i] (0 = most significant) inverted. *)
+let flip_bit id i =
+  let b = Bytes.of_string (Id.to_raw_string id) in
+  let j = i lsr 3 in
+  Bytes.set b j
+    (Char.chr (Char.code (Bytes.get b j) lxor (0x80 lsr (i land 7))));
+  Id.of_raw_string (Bytes.to_string b)
+
 (* The trigger table as shipped before the trie rewrite: a hashtable of
    128-bit-prefix buckets holding id-sorted groups of entries, swept
    wholesale.  [insert] is wrapped to be total like the trie's
@@ -177,6 +185,21 @@ module Reference = struct
 
   let size t = t.count
 
+  (* The live deadline of an exact binding, if stored. *)
+  let deadline t ~now trigger =
+    match Hashtbl.find_opt t.buckets (prefix_key trigger.I3.Trigger.id) with
+    | None -> None
+    | Some b ->
+        List.find_map
+          (fun g ->
+            List.find_map
+              (fun e ->
+                if e.expires > now && I3.Trigger.same_binding e.trigger trigger
+                then Some e.expires
+                else None)
+              g.entries)
+          !b
+
   let mem_live t ~now trigger =
     match Hashtbl.find_opt t.buckets (prefix_key trigger.I3.Trigger.id) with
     | None -> false
@@ -195,22 +218,38 @@ end
    lookup; the trie only the leaves a lookup visits), so queries about
    *live* state must always agree, while queries that can see unswept
    garbage ([remove]'s return, [size]) are compared right after a full
-   [expire], when both hold exactly the live set. *)
+   [expire], when both hold exactly the live set.
+
+   Each trace has a flavor that aims at one part of the trie's expiry
+   machinery:
+   - [Plain]: integer deadlines and clock steps;
+   - [Refresh_heavy]: most inserts refresh a stored binding, and clock
+     steps land at, just before or just after a refreshed entry's old
+     deadline, where its heap slot pops and must be re-armed;
+   - [Fractional]: deadlines and clock steps in tenths of a ms, many of
+     them equal, against the trie's rounded-up int ms bounds;
+   - [Huge]: finite lifetimes up to [max_float] and clock jumps past
+     the int range, where the bounds clamp. *)
+type flavor = Plain | Refresh_heavy | Fractional | Huge
+
 let test_differential =
   let open QCheck2.Gen in
   let script_gen =
     let* seed = int_range 1 1_000_000 in
+    let* flavor = oneofl [ Plain; Refresh_heavy; Fractional; Huge ] in
     let* ops = list_size (int_range 1 80) (int_range 0 99) in
-    return (seed, ops)
+    return (seed, flavor, ops)
   in
-  qtest ~count:150 "trie agrees with the pre-trie implementation" script_gen
-    (fun (seed, ops) ->
+  qtest ~count:300 "trie agrees with the pre-trie implementation" script_gen
+    (fun (seed, flavor, ops) ->
       let rng = Rng.create (Int64.of_int seed) in
       let prefix = Id.random rng in
       let deep = Id.random_with_prefix rng prefix in
       let pool =
         Array.init 10 (fun i ->
             if i <= 1 then deep (* exact duplicate: one id, many bindings *)
+            else if i = 2 then flip_bit deep 200 (* a cluster around [deep] *)
+            else if i = 3 then flip_bit deep 240
             else if i < 7 then Id.random_with_prefix rng prefix
             else Id.random rng)
       in
@@ -231,17 +270,50 @@ let test_differential =
           I3.Trigger.make ~id ~stack:[ I3.Packet.Sid (pick_id ()) ] ~owner
         else I3.Trigger.to_host ~id ~owner
       in
+      let stored = ref [] (* bindings inserted so far *) in
+      let old_deadlines = ref [] (* deadlines a refresh moved past *) in
+      let last_deadline = ref 1. in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let lifetime () =
+        match flavor with
+        | Plain | Refresh_heavy -> float_of_int (5 + Rng.int rng 80)
+        | Fractional -> 0.1 *. float_of_int (1 + Rng.int rng 40)
+        | Huge ->
+            pick [ 30.; 1e9; 1e15; 4e18; 4.7e18; 1e19; 1e300; Float.max_float ]
+      in
+      let step () =
+        match flavor with
+        | Plain -> float_of_int (Rng.int rng 50)
+        | Fractional -> 0.1 *. float_of_int (Rng.int rng 50)
+        | Huge -> pick [ 0.; 20.; 1e12; 4.5e18; 9e18; 1e20 ]
+        | Refresh_heavy -> (
+            (* at, just before or just after an old deadline *)
+            match List.filter (fun d -> d > !clock) !old_deadlines with
+            | [] -> float_of_int (Rng.int rng 50)
+            | ds -> pick ds +. pick [ -1.; -0.5; 0.; 0.5; 1. ] -. !clock)
+      in
       List.iter
         (fun op ->
           if op < 40 then begin
-            let tr = pick_trigger () in
+            let tr =
+              if flavor = Refresh_heavy && !stored <> [] && Rng.int rng 4 > 0
+              then pick !stored
+              else pick_trigger ()
+            in
             let expires =
               match Rng.int rng 8 with
               | 0 -> !clock (* not strictly in the future: dropped *)
               | 1 -> !clock -. 5. (* already expired: dropped *)
               | 2 -> Float.nan (* hostile lifetime: dropped *)
-              | _ -> !clock +. float_of_int (5 + Rng.int rng 80)
+              | 3 when flavor = Fractional ->
+                  Float.max !last_deadline !clock (* equal deadlines *)
+              | _ -> !clock +. lifetime ()
             in
+            if expires > !clock then last_deadline := expires;
+            (match Reference.deadline refr ~now:!clock tr with
+            | Some d when expires > d -> old_deadlines := d :: !old_deadlines
+            | _ -> ());
+            stored := tr :: !stored;
             I3.Trigger_table.insert trie ~now:!clock ~expires tr;
             Reference.insert refr ~now:!clock ~expires tr
           end
@@ -270,14 +342,19 @@ let test_differential =
               = Reference.remove_matching refr ~id ~target)
           end
           else if op < 72 then begin
-            clock := !clock +. float_of_int (Rng.int rng 50);
+            clock := Float.max !clock (!clock +. step ());
             sweep_both ();
             check (I3.Trigger_table.size trie = Reference.size refr)
           end
           else if op < 88 then begin
             let pid =
-              if Rng.bool rng then pick_id ()
-              else Id.random_with_prefix rng prefix
+              match Rng.int rng 3 with
+              | 0 -> pick_id ()
+              | 1 -> Id.random_with_prefix rng prefix
+              | _ ->
+                  (* winner subtree often the cluster's branch, whose
+                     cached bound must cover every refresh below it *)
+                  flip_bit deep (Id.prefix_bits + 1 + Rng.int rng 127)
             in
             check
               (List.equal I3.Trigger.equal
