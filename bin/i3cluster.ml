@@ -56,6 +56,15 @@ let scrape_interval_ms = ref 500.
 let refresh_ms = ref 1_000.
 let top_mode = ref false
 
+(* Weather flags go through the validator the fault core applies, at
+   parse time, so a bad value stops the run before any daemon starts. *)
+let weather_flag event r =
+  Arg.Float
+    (fun v ->
+      match Faults.validate (event v) with
+      | () -> r := v
+      | exception Invalid_argument msg -> raise (Arg.Bad msg))
+
 let args =
   [
     ("--n", Arg.Set_int n, "cluster size (default 5)");
@@ -65,12 +74,14 @@ let args =
       Arg.Float (fun f -> duration_ms := f),
       "scenario length in wall ms (default 12000)" );
     ("--triggers", Arg.Set_int ntriggers, "triggers to register (default 3)");
-    ("--loss", Arg.Float (fun f -> loss := f), "injected send loss (default 0.1)");
+    ( "--loss",
+      weather_flag (fun p -> Faults.Loss p) loss,
+      "injected send loss (default 0.1)" );
     ( "--jitter",
-      Arg.Float (fun f -> jitter := f),
+      weather_flag (fun ms -> Faults.Jitter ms) jitter,
       "injected send jitter in ms (default 2)" );
     ( "--daemon-loss",
-      Arg.Float (fun f -> daemon_loss := f),
+      weather_flag (fun p -> Faults.Loss p) daemon_loss,
       "forward i3d --loss: each daemon drops this fraction of its OWN \
        sends (server->server weather, not just the client edge; default \
        0: off)" );
@@ -142,7 +153,10 @@ let parse_schedule ~owner spec : Faults.schedule =
       | "" -> None
       | item -> (
           match String.split_on_char ':' item with
-          | at :: rest -> Some (float_of_string at, event_of rest)
+          | at :: rest ->
+              let event = event_of rest in
+              Faults.validate event;
+              Some (float_of_string at, event)
           | [] -> None))
     (String.split_on_char ';' spec)
 
@@ -293,6 +307,13 @@ let run_chaos () =
   if !n < 1 then die "%s" usage;
   let i3d = if !i3d = "" then default_i3d () else !i3d in
   if not (Sys.file_exists i3d) then die "i3d binary not found at %s" i3d;
+  (* Refuse a bad schedule before any daemon starts: found mid-run, a
+     parse error or an out-of-range weather value would orphan the
+     fleet. *)
+  (match parse_schedule ~owner:0 !schedule_spec with
+  | (_ : Faults.schedule) -> ()
+  | exception (Failure msg | Invalid_argument msg) ->
+      die "bad --schedule %S: %s" !schedule_spec msg);
   let rng = Rng.of_int !seed in
   let metrics = Obs.Metrics.default in
 
@@ -358,7 +379,8 @@ let run_chaos () =
     if !no_faults then None
     else begin
       let f =
-        Transport.Faulty.of_udp ~metrics ~rng:(Rng.split rng) udp
+        Transport.Faulty.create ~metrics ~rng:(Rng.split rng)
+          ~local:(Transport.Udp.local_addr udp) (Transport.Udp.send udp)
       in
       Transport.Faulty.apply f (Faults.Loss !loss);
       Transport.Faulty.apply f (Faults.Jitter !jitter);

@@ -49,6 +49,16 @@ let loss = ref 0.
 let fault_seed = ref 0
 let verbose = ref false
 
+(* A weather flag goes through the validator the fault core applies, at
+   parse time: a bad value is a usage error, not an uncaught exception
+   in a running daemon. *)
+let weather_flag event r =
+  Arg.Float
+    (fun v ->
+      match Faults.validate (event v) with
+      | () -> r := v
+      | exception Invalid_argument msg -> raise (Arg.Bad msg))
+
 let args =
   [
     ("--host", Arg.Set_string host, "bind address (default 127.0.0.1)");
@@ -72,7 +82,7 @@ let args =
        every N ms, so a SIGKILL'd daemon leaves recent samples (default 0: \
        exit dump only)" );
     ( "--loss",
-      Arg.Set_float loss,
+      weather_flag (fun p -> Faults.Loss p) loss,
       "drop this fraction of the daemon's own sends, seeded by \
        --fault-seed (default 0: faults off).  Unlike the harness-side \
        Faulty client wrapper, this injects loss inside the daemon, so \
@@ -149,19 +159,19 @@ let () =
       ~join:join_addrs ~chord_config ~metrics:registry ~tracer ~site:!port ()
   in
   let udp = Transport.Udp.create ~host:!host ~port:!port () in
-  (* Send-side fault injection (ROADMAP item 5's last gap): with --loss
-     the daemon's OWN sends — Chord RPCs, replica pushes, forwarded data
-     — pass through the same seeded Faulty decorator the harness client
-     uses, so the whole mesh faces weather, not just the client edge.
-     Receive stays clean: dropping a datagram on either side of the wire
-     is the same network. *)
+  (* Send-side fault injection: with --loss the daemon's OWN sends —
+     Chord RPCs, replica pushes, forwarded data — pass through the same
+     seeded Faulty decorator the harness client uses, so the whole mesh
+     faces weather, not just the client edge.  Receive stays clean:
+     dropping a datagram on either side of the wire is the same
+     network. *)
   let faulty =
     if !loss <= 0. then None
     else begin
       let seed = if !fault_seed <> 0 then !fault_seed else !port + 0x5eed in
       let f =
         Transport.Faulty.create ~metrics:registry ~rng:(Rng.of_int seed)
-          (Transport.Faulty.of_udp_lower udp)
+          ~local:(Transport.Udp.local_addr udp) (Transport.Udp.send udp)
       in
       Transport.Faulty.apply f (Faults.Loss !loss);
       f |> Option.some
@@ -169,7 +179,7 @@ let () =
   in
   let raw_send ~dst bytes =
     match faulty with
-    | Some f -> Transport.Faulty.send f ~dst bytes
+    | Some f -> Transport.Faulty.send f ~now:(elapsed_ms ()) ~dst bytes
     | None -> Transport.Udp.send udp ~dst bytes
   in
   let driver =
@@ -266,7 +276,7 @@ let () =
        runs the timer wheel up to [now], so a separate [Tick] is only
        needed when a deadline is due and no frame arrived to fire it. *)
     drain_backlog ~now;
-    Option.iter (fun f -> Transport.Faulty.poll f ~now) faulty;
+    Option.iter (fun f -> ignore (Transport.Faulty.flush f ~now)) faulty;
     (match Transport.Driver.next_due driver with
     | Some due when due <= now -> Transport.Driver.tick driver ~now
     | _ -> ());

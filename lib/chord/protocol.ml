@@ -147,7 +147,8 @@ let sim_net_exn what nw =
   | Some net -> net
   | None -> invalid_arg ("Chord.Protocol." ^ what ^ ": detached network")
 
-let set_loss_rate nw p = Net.set_loss_rate (sim_net_exn "set_loss_rate" nw) p
+let set_loss_rate nw p =
+  Net.apply (sim_net_exn "set_loss_rate" nw) (Faults.Loss p)
 
 let node_id n = n.id
 let node_addr n = n.addr

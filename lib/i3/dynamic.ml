@@ -248,7 +248,7 @@ let fault_driver t =
     let m = nth_member t i in
     if not m.alive then restart t m
   in
-  Faults.net_driver ~crash ~restart t.net
+  Net.driver ~crash ~restart t.net
 
 let inject t schedule = Faults.install t.sim (fault_driver t) schedule
 let net_stats t = Net.stats t.net

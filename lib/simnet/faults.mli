@@ -2,11 +2,15 @@
 
     A {!schedule} is a list of [(virtual-time offset, event)] pairs; a
     {!driver} interprets each event against some substrate — a raw
-    {!Net.t} (via {!net_driver}), or a full deployment (e.g.
-    [I3.Dynamic.fault_driver], which applies network faults to the
-    network every protocol shares, as a real partition severs every
-    protocol crossing the cut, and maps [Crash]/[Restart] onto server
-    kill/recover).
+    {!Net.t} (via [Net.driver]), a wire endpoint ([Transport.Faulty]),
+    or a full deployment (e.g. [I3.Dynamic.fault_driver], which applies
+    network faults to the network every protocol shares, as a real
+    partition severs every protocol crossing the cut, and maps
+    [Crash]/[Restart] onto server kill/recover).
+
+    The network-weather events mean one thing everywhere: {!Weather} is
+    the single sans-IO interpreter of them, and both the simulator's
+    [Net] and the wire's [Transport.Faulty] are thin drivers of it.
 
     Everything is driven by an explicit {!Rng.t}, so a scenario replays
     identically from its seed — the property that turns a flaky chaos
@@ -24,7 +28,7 @@ type event =
       (** One-way gray link: [from_site -> to_site] silently drops. *)
   | Gray_heal of { from_site : int; to_site : int }
   | Burst_loss of { p_enter : float; p_exit : float; loss_bad : float }
-      (** Install a Gilbert–Elliott chain (see {!Net.set_burst_loss}). *)
+      (** Install a Gilbert–Elliott chain (see {!Weather}). *)
   | Burst_end
   | Loss of float  (** Set the uniform loss rate (1. = blackhole). *)
   | Jitter of float  (** Uniform[0, ms) extra delivery latency. *)
@@ -41,11 +45,55 @@ type driver = event -> unit
 
 val null_driver : driver
 
-val net_driver :
-  ?crash:(int -> unit) -> ?restart:(int -> unit) -> 'msg Net.t -> driver
-(** Interpret network-level events against one {!Net.t}.  [Crash] and
-    [Restart] are delegated to the optional callbacks (default: ignored),
-    since endpoint lifecycle is owned by the layer above. *)
+val validate : event -> unit
+(** The one range check every interpreter applies ({!Weather.apply}
+    calls it; command-line front ends call it on their flags).
+    Probabilities must lie in [0, 1] and delays must be finite and
+    non-negative — NaN and infinities are refused — and a [Partition]
+    needs at least one site.  @raise Invalid_argument otherwise. *)
+
+(** The network-weather core: given the events applied so far, decide
+    the fate of one send from [src_site] to [dst_site].  Sans-IO: it
+    reads no clock and owns no queue; a driver adds the base latency
+    and does the delivering.
+
+    {!decide} checks, in this order: any active partition cut, a gray
+    link, the burst-loss chain, uniform loss; a surviving send then
+    draws its jitter, the duplication coin, and the copy's jitter.  The
+    order is the contract: it fixes the RNG stream, so a seeded run
+    replays bit for bit on either driver. *)
+module Weather : sig
+  type cause = [ `Partition | `Gray | `Burst | `Loss ]
+
+  val cause_name : cause -> string
+  (** ["partition"], ["gray"], ["burst"], ["loss"]: the [cause] label of
+      [net.dropped] and [faulty.dropped]. *)
+
+  type verdict =
+    | Drop of cause
+    | Pass of { delay : float; dup_delay : float option }
+        (** Extra ms on top of the base latency (fixed spike plus
+            Uniform[0, jitter)) for the send and, when a copy is made,
+            for the copy. *)
+
+  type t
+
+  val create : rng:Rng.t -> t
+  (** Clear weather: no cut, no loss, no delay. *)
+
+  val apply : t -> event -> unit
+  (** Set state from one event, after {!validate}.  [Partition sites]
+      adds a cut severing [sites] from every other site, both ways
+      (cuts accumulate; [Heal] removes them all).  [Gray] drops
+      [from_site -> to_site] only.  [Burst_loss] (re)starts a
+      Gilbert–Elliott chain in the Good state: each send advances it
+      (Good -> Bad with [p_enter], Bad -> Good with [p_exit]) and a
+      send in the Bad state is lost with [loss_bad]; mean burst length
+      is [1 /. p_exit] sends.  [Crash] and [Restart] are ignored:
+      endpoint lifecycle belongs to the layer above. *)
+
+  val decide : t -> src_site:int -> dst_site:int -> verdict
+end
 
 val install : Engine.t -> driver -> schedule -> unit
 (** Schedule every event against the engine, relative to the current

@@ -45,7 +45,7 @@ let triggers t = I3.Host_engine.triggers t.core
 
 let raw_send t ~dst bytes =
   match t.faulty with
-  | Some f -> Faulty.send f ~dst bytes
+  | Some f -> Faulty.send f ~now:(clock ()) ~dst bytes
   | None -> Udp.send t.udp ~dst bytes
 
 let settle t trigger outcome =
@@ -126,14 +126,17 @@ let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
    for at most [timeout] seconds of socket traffic.  EINTR (a signal
    mid-select) counts as an empty wait. *)
 let wait t ~timeout =
-  (match t.faulty with Some f -> ignore (Faulty.flush f) | None -> ());
+  (match t.faulty with
+  | Some f -> ignore (Faulty.flush f ~now:(clock ()))
+  | None -> ());
   match Udp.wait t.udp ~timeout with
   | handled -> handled
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
 let poll t =
-  (match t.faulty with Some f -> ignore (Faulty.flush f) | None -> ());
-  Udp.poll t.udp ~now:(clock ());
+  let now = clock () in
+  (match t.faulty with Some f -> ignore (Faulty.flush f ~now) | None -> ());
+  Udp.poll t.udp ~now;
   tick t
 
 (* Wait until [until ()] or the ms deadline, in 20 ms slices that keep

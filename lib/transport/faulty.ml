@@ -1,208 +1,95 @@
-(* A fault-injecting decorator over any byte transport.
+(* Seeded fault injection at the send boundary of any byte transport.
 
-   Sits at the send boundary: every datagram a component hands to
-   [send] is subjected to the same fault vocabulary the simulator's
-   chaos layer speaks ([Faults.event]) — seeded loss, Gilbert-Elliott
-   burst loss, duplication, partitions, one-way gray links and extra
-   delay — before (maybe, eventually) reaching the real [send] of the
-   wrapped transport.  Receive is untouched: a dropped reply is just the
-   peer's own faulty send, so wrapping each endpoint's sender is enough
-   to model a lossy path end to end.
+   Every datagram handed to [send] gets its fate from the same
+   [Faults.Weather] core the simulator's [Net] asks, with the local
+   address and the destination standing in for the two sites.  Receive
+   is untouched: a dropped reply is just the peer's own faulty send, so
+   wrapping each endpoint's sender is enough to model a lossy path end
+   to end.
 
    Delay cannot block a synchronous [send], so delayed datagrams park in
-   a due-time heap and leave on the next [flush] — the poll loop of
-   whoever owns the socket calls it, which is exactly how a userspace
-   qdisc behaves.  All randomness draws from one explicit [Rng.t], so a
-   chaos scenario over real sockets replays from its seed as faithfully
-   as the send *decisions* allow (the network underneath adds its own
-   nondeterminism; on loopback, effectively none). *)
-
-type lower = {
-  send : dst:int -> string -> unit;
-  set_handler : (src:int -> string -> unit) -> unit;
-  local_addr : int;
-}
-
-let of_udp_lower u =
-  {
-    send = (fun ~dst bytes -> Udp.send u ~dst bytes);
-    set_handler = (fun h -> Udp.set_handler u h);
-    local_addr = Udp.local_addr u;
-  }
-
-(* Gilbert-Elliott chain, same shape and advance rule as
-   [Net.set_burst_loss]: flip state first, then draw from the state we
-   landed in.  Mean burst length is 1/p_exit messages. *)
-type burst = {
-  p_enter : float;
-  p_exit : float;
-  loss_bad : float;
-  mutable bad : bool;
-}
+   a due-time heap and leave on the next [flush] — the loop of whoever
+   owns the socket calls it, as a userspace qdisc would.  Both take the
+   caller's clock, so this module reads none. *)
 
 type delayed = { due : float; dst : int; bytes : string; seq : int }
 
 type t = {
-  lower : lower;
-  rng : Rng.t;
-  clock : unit -> float;  (* ms *)
-  mutable loss : float;
-  mutable duplicate : float;
-  mutable jitter : float;  (* uniform [0, jitter) extra ms *)
-  mutable spike : float;  (* fixed extra ms *)
-  mutable burst : burst option;
-  mutable partitions : (int, unit) Hashtbl.t list;
-      (* each Partition event contributes one cut set *)
-  gray : (int * int, unit) Hashtbl.t;
+  weather : Faults.Weather.t;
+  local : int;
+  lower : dst:int -> string -> unit;
   pending : delayed Heap.t;
   mutable seq : int;  (* FIFO tie-break for equal due times *)
   c_sent : Obs.Metrics.counter;
-  c_dropped : Obs.Metrics.counter;
+  c_dropped : Faults.Weather.cause -> Obs.Metrics.counter;
   c_duplicated : Obs.Metrics.counter;
   c_delayed : Obs.Metrics.counter;
 }
 
-let wall_ms () = Unix.gettimeofday () *. 1000.
-
-let create ?(metrics = Obs.Metrics.default) ?(clock = wall_ms) ~rng lower =
-  let labels = [ ("instance", "faulty" ^ string_of_int lower.local_addr) ] in
+let create ?(metrics = Obs.Metrics.default) ~rng ~local lower =
+  let instance = ("instance", "faulty" ^ string_of_int local) in
+  let counter ?(labels = []) name =
+    Obs.Metrics.counter metrics ~labels:(instance :: labels) name
+  in
+  let drop cause =
+    counter
+      ~labels:[ ("cause", Faults.Weather.cause_name cause) ]
+      "faulty.dropped"
+  in
+  let partition = drop `Partition and gray = drop `Gray in
+  let burst = drop `Burst and loss = drop `Loss in
   {
+    weather = Faults.Weather.create ~rng;
+    local;
     lower;
-    rng;
-    clock;
-    loss = 0.;
-    duplicate = 0.;
-    jitter = 0.;
-    spike = 0.;
-    burst = None;
-    partitions = [];
-    gray = Hashtbl.create 8;
     pending =
       Heap.create ~cmp:(fun a b ->
-          match compare a.due b.due with 0 -> compare a.seq b.seq | c -> c);
+          match Float.compare a.due b.due with
+          | 0 -> Int.compare a.seq b.seq
+          | c -> c);
     seq = 0;
-    c_sent = Obs.Metrics.counter metrics ~labels "faulty.sent";
-    c_dropped = Obs.Metrics.counter metrics ~labels "faulty.dropped";
-    c_duplicated = Obs.Metrics.counter metrics ~labels "faulty.duplicated";
-    c_delayed = Obs.Metrics.counter metrics ~labels "faulty.delayed";
+    c_sent = counter "faulty.sent";
+    c_dropped =
+      (function
+      | `Partition -> partition
+      | `Gray -> gray
+      | `Burst -> burst
+      | `Loss -> loss);
+    c_duplicated = counter "faulty.duplicated";
+    c_delayed = counter "faulty.delayed";
   }
 
-let of_udp ?metrics ?clock ~rng u = create ?metrics ?clock ~rng (of_udp_lower u)
+let apply t event = Faults.Weather.apply t.weather event
 
-let check_prob what p =
-  if not (p >= 0. && p <= 1.) then
-    invalid_arg (Printf.sprintf "Faulty.%s: need probability in [0,1]" what)
-
-(* A cut set severs members from non-members (both directions), exactly
-   like [Net]'s partitions; a link whose endpoints are on the same side
-   is untouched. *)
-let partition_blocks t ~dst =
-  let local = t.lower.local_addr in
-  List.exists
-    (fun set -> Hashtbl.mem set local <> Hashtbl.mem set dst)
-    t.partitions
-
-let burst_says_drop t =
-  match t.burst with
-  | None -> false
-  | Some b ->
-      let flip =
-        if b.bad then Rng.float t.rng 1. < b.p_exit
-        else Rng.float t.rng 1. < b.p_enter
-      in
-      if flip then b.bad <- not b.bad;
-      b.bad && b.loss_bad > 0. && Rng.float t.rng 1. < b.loss_bad
-
-let release t ~dst bytes = t.lower.send ~dst bytes
-
-let extra_delay t =
-  t.spike +. (if t.jitter > 0. then Rng.float t.rng t.jitter else 0.)
-
-(* One independent fate per copy (the original and any duplicate):
-   loss, then delay.  Duplication is decided once, before fates, so a
-   duplicate can survive the loss that eats the original — the
-   reordering anomaly the paper's soft state has to absorb. *)
-let send t ~dst bytes =
-  Obs.Metrics.incr t.c_sent;
-  if partition_blocks t ~dst || Hashtbl.mem t.gray (t.lower.local_addr, dst)
-  then Obs.Metrics.incr t.c_dropped
+let release t ~now ~dst bytes delay =
+  if delay <= 0. then t.lower ~dst bytes
   else begin
-    let copies =
-      if t.duplicate > 0. && Rng.float t.rng 1. < t.duplicate then begin
-        Obs.Metrics.incr t.c_duplicated;
-        2
-      end
-      else 1
-    in
-    for _ = 1 to copies do
-      if (t.loss > 0. && Rng.float t.rng 1. < t.loss) || burst_says_drop t
-      then Obs.Metrics.incr t.c_dropped
-      else
-        let d = extra_delay t in
-        if d <= 0. then release t ~dst bytes
-        else begin
-          Obs.Metrics.incr t.c_delayed;
-          t.seq <- t.seq + 1;
-          Heap.add t.pending
-            { due = t.clock () +. d; dst; bytes; seq = t.seq }
-        end
-    done
+    Obs.Metrics.incr t.c_delayed;
+    t.seq <- t.seq + 1;
+    Heap.add t.pending { due = now +. delay; dst; bytes; seq = t.seq }
   end
 
-let flush t =
-  let now = t.clock () in
+let send t ~now ~dst bytes =
+  Obs.Metrics.incr t.c_sent;
+  match Faults.Weather.decide t.weather ~src_site:t.local ~dst_site:dst with
+  | Drop cause -> Obs.Metrics.incr (t.c_dropped cause)
+  | Pass { delay; dup_delay } ->
+      release t ~now ~dst bytes delay;
+      Option.iter
+        (fun dup ->
+          Obs.Metrics.incr t.c_duplicated;
+          release t ~now ~dst bytes dup)
+        dup_delay
+
+let flush t ~now =
   let rec go n =
     match Heap.peek t.pending with
     | Some d when d.due <= now ->
         ignore (Heap.pop t.pending);
-        release t ~dst:d.dst d.bytes;
+        t.lower ~dst:d.dst d.bytes;
         go (n + 1)
     | _ -> n
   in
   go 0
 
-(* The [Transport.S] maintenance step.  The decorator's own [clock]
-   closure stays authoritative for due times (it was fixed at [create]
-   so replays stay seeded); [now] is the caller's loop time and is only
-   there for the uniform convention. *)
-let poll t ~now:_ = ignore (flush t)
-
 let pending t = Heap.size t.pending
-let set_handler t h = t.lower.set_handler h
-let local_addr t = t.lower.local_addr
-
-let apply t (e : Faults.event) =
-  match e with
-  | Faults.Loss p ->
-      check_prob "Loss" p;
-      t.loss <- p
-  | Faults.Duplicate p ->
-      check_prob "Duplicate" p;
-      t.duplicate <- p
-  | Faults.Jitter ms ->
-      if ms < 0. then invalid_arg "Faulty.Jitter: need ms >= 0";
-      t.jitter <- ms
-  | Faults.Latency_spike ms ->
-      if ms < 0. then invalid_arg "Faulty.Latency_spike: need ms >= 0";
-      t.spike <- ms
-  | Faults.Burst_loss { p_enter; p_exit; loss_bad } ->
-      check_prob "Burst_loss (p_enter)" p_enter;
-      check_prob "Burst_loss (p_exit)" p_exit;
-      check_prob "Burst_loss (loss_bad)" loss_bad;
-      t.burst <- Some { p_enter; p_exit; loss_bad; bad = false }
-  | Faults.Burst_end -> t.burst <- None
-  | Faults.Partition sites ->
-      let set = Hashtbl.create (List.length sites) in
-      List.iter (fun s -> Hashtbl.replace set s ()) sites;
-      t.partitions <- set :: t.partitions
-  | Faults.Heal -> t.partitions <- []
-  | Faults.Gray { from_site; to_site } ->
-      Hashtbl.replace t.gray (from_site, to_site) ()
-  | Faults.Gray_heal { from_site; to_site } ->
-      Hashtbl.remove t.gray (from_site, to_site)
-  | Faults.Crash _ | Faults.Restart _ ->
-      (* Endpoint lifecycle is owned by the layer above (the cluster
-         supervisor), exactly as in [Faults.net_driver]. *)
-      ()
-
-let driver t : Faults.driver = apply t

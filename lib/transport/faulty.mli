@@ -1,80 +1,43 @@
 (** Seeded fault injection at the send boundary of any byte transport.
 
-    The decorator interprets the same scenario vocabulary as the
-    simulator's chaos layer ({!Faults.event}) against a real transport:
-    uniform and Gilbert-Elliott loss, duplication, partitions (cut
-    sets), one-way gray links, and extra latency (fixed spike + uniform
-    jitter).  Wrap each endpoint's sender and a loopback cluster sees
-    the same network weather a {!Net.t} would synthesize — which is what
-    lets one [Faults.schedule] drive sim and wire runs alike.
+    A thin wire-side driver of {!Faults.Weather}, the core the
+    simulator's {!Net} drives too: the same {!Faults.event} vocabulary,
+    the same validation, the same draw order, so one [Faults.schedule]
+    brings the same weather to a loopback cluster that it brings to a
+    simulated one.  The local address and the destination address play
+    the two sites of a partition or gray link.
 
-    Delayed datagrams are parked in a due-time queue and leave on
-    {!flush}; call it from the owning poll loop.  All decisions draw
-    from the explicit {!Rng.t}, so scenarios replay from their seed. *)
-
-type lower = {
-  send : dst:int -> string -> unit;
-  set_handler : (src:int -> string -> unit) -> unit;
-  local_addr : int;
-}
-(** The wrapped transport, as three closures — any {!Transport.S}
-    instance fits. *)
+    Delayed datagrams park in a due-time queue and leave on {!flush};
+    call it from the owning loop.  {!send} and {!flush} take the
+    caller's clock ([bin/i3d] and [Transport.Client] pass monotonic ms),
+    so this module reads none. *)
 
 type t
 
-val of_udp_lower : Udp.t -> lower
-
 val create :
   ?metrics:Obs.Metrics.t ->
-  ?clock:(unit -> float) ->
   rng:Rng.t ->
-  lower ->
+  local:int ->
+  (dst:int -> string -> unit) ->
   t
-(** [clock] returns milliseconds (default: wall clock); inject a fake
-    clock to unit-test delay deterministically.  Registers
-    [faulty.sent/dropped/duplicated/delayed] counters. *)
-
-val of_udp :
-  ?metrics:Obs.Metrics.t ->
-  ?clock:(unit -> float) ->
-  rng:Rng.t ->
-  Udp.t ->
-  t
-
-(** {1 The transport face} — same shape as {!Transport.S}. *)
-
-val send : t -> dst:int -> string -> unit
-(** Subject one datagram to the configured faults: partition/gray cuts
-    drop outright; otherwise the datagram (and a possible duplicate)
-    independently faces loss, then delay. *)
-
-val set_handler : t -> (src:int -> string -> unit) -> unit
-(** Delegates to the wrapped transport — faults apply on send only. *)
-
-val local_addr : t -> int
-
-(** {1 Delay queue} *)
-
-val flush : t -> int
-(** Release every parked datagram whose due time has passed; returns how
-    many left.  Call from the poll loop. *)
-
-val poll : t -> now:float -> unit
-(** {!flush}, under the uniform {!Transport.S} maintenance convention.
-    Due times come from the [clock] fixed at {!create} (so seeded
-    replays stay faithful); [now] is ignored. *)
-
-val pending : t -> int
-
-(** {1 Fault control} *)
+(** Wrap a send closure (e.g. [Udp.send u]) for the endpoint at address
+    [local].  Registers [faulty.sent], [faulty.duplicated],
+    [faulty.delayed] and [faulty.dropped] (with a [cause] label, the
+    same strings as [net.dropped]) under the instance label
+    ["faulty<local>"]. *)
 
 val apply : t -> Faults.event -> unit
-(** Interpret one chaos event.  [Partition sites] installs a cut set
-    severing members from non-members (accumulative; [Heal] clears all);
-    [Gray] drops [from_site -> to_site] sends; [Crash]/[Restart] are
-    ignored — process lifecycle belongs to the supervisor above, exactly
-    as in {!Faults.net_driver}.
-    @raise Invalid_argument on out-of-range probabilities. *)
+(** {!Faults.Weather.apply}: a {!Faults.driver} as it stands.
+    @raise Invalid_argument when {!Faults.validate} refuses the event. *)
 
-val driver : t -> Faults.driver
-(** [driver t] is [apply t], ready for {!Faults.combine}. *)
+val send : t -> now:float -> dst:int -> string -> unit
+(** Ask the weather for this datagram's fate: drop it, or hand it (and
+    any copy) to the wrapped sender, at once when its extra delay is 0
+    and otherwise at [now] plus that delay, on the next {!flush}. *)
+
+val flush : t -> now:float -> int
+(** Release every parked datagram due by [now], earliest first and
+    FIFO among equal due times; returns how many left.  A [now] earlier
+    than a previous one releases nothing early. *)
+
+val pending : t -> int

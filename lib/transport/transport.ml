@@ -37,4 +37,3 @@ end
    compile error. *)
 module _ : S = Sim
 module _ : S = Udp
-module _ : S = Faulty

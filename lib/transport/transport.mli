@@ -11,8 +11,8 @@ module Udp = Udp
 (** IPv4 UDP datagrams over [Unix] sockets. *)
 
 module Faulty = Faulty
-(** Seeded send-boundary fault injection over any transport, driven by
-    the simulator's {!Faults.event} vocabulary. *)
+(** Seeded send-boundary fault injection over any send closure: a
+    driver of the simulator's {!Faults.Weather} core. *)
 
 module Client = Client
 (** Reliable host-side client: ack-awaited inserts with retry/backoff,

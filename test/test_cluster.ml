@@ -70,7 +70,10 @@ let () =
 
   (* End-host: client behind default-intensity fault injection. *)
   let udp = Transport.Udp.create () in
-  let faulty = Transport.Faulty.of_udp ~metrics ~rng:(Rng.split rng) udp in
+  let faulty =
+    Transport.Faulty.create ~metrics ~rng:(Rng.split rng)
+      ~local:(Transport.Udp.local_addr udp) (Transport.Udp.send udp)
+  in
   Transport.Faulty.apply faulty (Faults.Loss 0.1);
   Transport.Faulty.apply faulty (Faults.Jitter 2.);
   let client =

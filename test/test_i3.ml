@@ -649,7 +649,7 @@ let test_e2e_refresh_off_expiry_edge () =
      with its own refresh phase, spread those gaps over the 50 ms
      sampling grid. *)
   let d = deployment ~seed:38 ~n_servers:8 () in
-  Net.set_jitter (I3.Deployment.net d) 20.;
+  Net.apply (I3.Deployment.net d) (Faults.Jitter 20.);
   let ids =
     List.init 16 (fun _ ->
         let h = I3.Deployment.new_host d () in
