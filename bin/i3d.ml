@@ -195,12 +195,22 @@ let () =
            | I3.Engine.Send (dst, _) -> log "send i3 -> %d" dst
            | I3.Engine.Deliver { dst; _ } -> log "deliver -> %d" dst
            | I3.Engine.Set_timer _ -> ()));
-  (* The receive handler only enqueues: the loop below drains the whole
-     backlog through one batched engine step ([Driver.on_datagrams]), so
-     a burst of datagrams pays the engine's timer/metrics work once. *)
+  (* The first datagram of a turn is stepped the moment [Udp.wait] reads
+     it, so its reply is on the wire before anything else is read: a
+     lone packet's round trip holds no further syscall.  The handler
+     only enqueues the rest, and the loop below drains that backlog
+     through one batched engine step ([Driver.on_datagrams]), so a
+     burst of datagrams pays the engine's timer/metrics work twice, not
+     once per datagram. *)
   let backlog : (int * string) Queue.t = Queue.create () in
+  let first_of_turn = ref true in
   Transport.Udp.set_handler udp (fun ~src bytes ->
-      Queue.add (src, bytes) backlog);
+      if !first_of_turn then begin
+        first_of_turn := false;
+        Transport.Driver.on_datagrams driver ~now:(elapsed_ms ())
+          [ (src, bytes) ]
+      end
+      else Queue.add (src, bytes) backlog);
   let drain_backlog ~now =
     if not (Queue.is_empty backlog) then begin
       let datagrams = List.of_seq (Queue.to_seq backlog) in
@@ -251,10 +261,12 @@ let () =
   let next_flush = ref (match flush_period with Some p -> p | None -> infinity) in
 
   Printf.printf "READY %s\n%!" self_name;
-  (* One loop turn: sleep until the socket is readable or the next
-     engine or flush deadline, read the clock once, then spend the turn
-     at that instant.  The sleep is computed from the previous turn's
-     clock reading, so a turn wakes at most one turn's work late. *)
+  (* One loop turn: sleep until a datagram arrives or the next engine
+     or flush deadline, read the clock once, then spend the rest of the
+     turn at that instant (the turn's first datagram was stepped at its
+     own reading, as [wait] read it).  The sleep is computed from the
+     previous turn's clock reading, so a turn wakes at most one turn's
+     work, plus the kernel's rounding of the sleep to its tick, late. *)
   let last_now = ref (elapsed_ms ()) in
   while !running do
     let timeout = Transport.Driver.timeout driver ~now:!last_now ~cap:0.25 in
@@ -263,16 +275,17 @@ let () =
     let timeout =
       Float.min timeout (Float.max 0. ((!next_flush -. !last_now) /. 1000.))
     in
-    (* [wait] blocks until the socket is readable, then drains every
-       queued datagram into the backlog.  select() returns EINTR when a
-       signal lands mid-wait; treat it as an empty wait so the flag
-       check decides. *)
+    (* [wait] blocks until a datagram arrives, then drains every queued
+       datagram through the handler.  The blocking receive returns
+       EINTR when a signal lands mid-wait; treat it as an empty wait so
+       the flag check decides. *)
+    first_of_turn := true;
     (match Transport.Udp.wait udp ~timeout with
     | (_ : bool) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     let now = elapsed_ms () in
     last_now := now;
-    (* Step the engine once with the whole burst.  That step already
+    (* Step the engine once with the rest of the burst.  That step already
        runs the timer wheel up to [now], so a separate [Tick] is only
        needed when a deadline is due and no frame arrived to fire it. *)
     drain_backlog ~now;

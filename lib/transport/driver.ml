@@ -85,17 +85,19 @@ let count_kind t cache dir bytes =
    effect, or no [Set_timer] at all when the wheel is empty.  A send
    the kernel refuses for good (a broadcast [Saddr] is EACCES, port 0
    EINVAL: both reachable from one hostile data packet) is counted and
-   skipped; the transport already retried the transient errors. *)
+   skipped; the transport already retried the transient errors.  Each
+   frame is counted after it is sent, so the count is not in the way of
+   the reply. *)
 let interpret t effects =
   t.next_due <- None;
   List.iter
     (fun eff ->
       match I3.Engine.encode_effect eff with
-      | Some (dst, bytes) -> (
+      | Some (dst, bytes) ->
+          (try t.send ~dst bytes
+           with Unix.Unix_error _ -> Obs.Metrics.incr t.c_send_errors);
           Obs.Metrics.incr t.c_sends;
-          count_kind t t.tx_kind "tx" bytes;
-          try t.send ~dst bytes
-          with Unix.Unix_error _ -> Obs.Metrics.incr t.c_send_errors)
+          count_kind t t.tx_kind "tx" bytes
       | None -> (
           match eff with
           | I3.Engine.Set_timer due -> t.next_due <- Some due
@@ -128,14 +130,16 @@ let step_hist t kind =
       Hashtbl.replace t.h_step kind h;
       h
 
+(* The step's duration is recorded after its effects are sent: it times
+   [I3.Engine.step] alone either way. *)
 let step t ~now event =
   let t0 = Monotonic_clock.now () in
   let effects = I3.Engine.step t.engine ~now event in
   let t1 = Monotonic_clock.now () in
+  interpret t effects;
   Obs.Metrics.observe
     (step_hist t (event_kind event))
-    (Int64.to_float (Int64.sub t1 t0) /. 1e6);
-  interpret t effects
+    (Int64.to_float (Int64.sub t1 t0) /. 1e6)
 
 let on_datagram t ~now ~src bytes =
   Obs.Metrics.incr t.c_frames;

@@ -51,6 +51,7 @@ type t = {
   mutable handler : src:int -> string -> unit;
   rx_addrs : (Unix.sockaddr, int) Hashtbl.t;
   tx_addrs : Unix.sockaddr Itbl.t;
+  mutable rcvtimeo : float;  (* the receive timeout last set, s *)
 }
 
 (* The receive buffer is sized from [Wire.Layout]: a maximal legal
@@ -72,9 +73,9 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
   (try Unix.setsockopt_int sock Unix.SO_SNDBUF (8 * max_datagram)
    with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  (* Non-blocking, so a receive drains the queue until EAGAIN without a
-     [select] per datagram. *)
-  Unix.set_nonblock sock;
+  (* The socket stays in blocking mode, so that [wait] sleeps inside
+     [recvfrom] itself.  A drain switches it to non-blocking mode, and
+     only once [select] has seen a datagram queued. *)
   let local =
     match addr_of_sockaddr (Unix.getsockname sock) with
     | Some a -> a
@@ -87,6 +88,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
     handler = (fun ~src:_ _ -> ());
     rx_addrs = Hashtbl.create 64;
     tx_addrs = Itbl.create 64;
+    rcvtimeo = 0.;
   }
 
 let tx_sockaddr t dst =
@@ -110,9 +112,10 @@ let rx_addr t peer =
           found
       | None -> None)
 
-(* Send straight out of the string.  A full socket buffer (EAGAIN on
-   the non-blocking socket) waits until the socket is writable and
-   retries, so a send still blocks as it did on a blocking socket.
+(* Send straight out of the string.  A full socket buffer blocks the
+   send; during a drain the socket is non-blocking, and then EAGAIN
+   waits until the socket is writable and retries, so a send blocks
+   either way.
    Top-level rather than a local loop: no closure per datagram. *)
 let rec sendto sock bytes len sa =
   match Unix.sendto_substring sock bytes 0 len [] sa with
@@ -131,32 +134,79 @@ let send t ~dst bytes =
 let set_handler t h = t.handler <- h
 let local_addr t = t.local
 
+(* Hand the datagram just read into [buf] to the handler.  Returns 1,
+   or 0 for a peer the packed form cannot represent (IPv6). *)
+let handle t len peer =
+  match rx_addr t peer with
+  | Some src ->
+      t.handler ~src (Bytes.sub_string t.buf 0 len);
+      1
+  | None -> 0
+
 (* Hand every queued datagram to the handler: [recvfrom] on the
-   non-blocking socket until EAGAIN (or EINTR).  Returns how many were
-   handled. *)
+   non-blocking socket until EAGAIN (or EINTR).  Returns [n] plus how
+   many were handled. *)
 let rec drain t n =
   match Unix.recvfrom t.sock t.buf 0 max_datagram [] with
-  | len, peer -> (
-      match rx_addr t peer with
-      | Some src ->
-          t.handler ~src (Bytes.sub_string t.buf 0 len);
-          drain t (n + 1)
-      | None -> drain t n)
+  | len, peer -> drain t (n + handle t len peer)
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       n
 
-(* Block up to [timeout] seconds until the socket is readable, then
-   drain it: one [select] per loop turn however many datagrams wait.
-   Returns whether any datagram was handled. *)
+(* [drain] with the socket in non-blocking mode for just that drain. *)
+let drain_nonblocking t n =
+  Unix.set_nonblock t.sock;
+  Fun.protect
+    ~finally:(fun () -> Unix.clear_nonblock t.sock)
+    (fun () -> drain t n)
+
+(* Drain only when [select] sees a datagram queued, so a lone datagram
+   costs no switch of the socket's mode. *)
+let drain_queued t n =
+  match Unix.select [ t.sock ] [] [] 0. with
+  | [], _, _ -> n
+  | _ -> drain_nonblocking t n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> n
+
+(* The kernel keeps a socket's receive timeout in scheduler ticks (1 to
+   10 ms), rounding up, and takes a timeout under a microsecond for "no
+   timeout".  A deadline nearer than this is waited for in [select],
+   which keeps microsecond precision. *)
+let select_below_s = 0.01
+
+(* Set the receive timeout to [timeout] rounded down to the millisecond,
+   with no syscall when that is already set: waking up to 1 ms early
+   only costs the caller an empty turn.  False when the socket refuses
+   a receive timeout. *)
+let set_rcvtimeo t timeout =
+  let s = Float.of_int (int_of_float (timeout *. 1000.)) /. 1000. in
+  s = t.rcvtimeo
+  ||
+  match Unix.setsockopt_float t.sock Unix.SO_RCVTIMEO s with
+  | () ->
+      t.rcvtimeo <- s;
+      true
+  | exception Unix.Unix_error _ -> false
+
+(* Block up to [timeout] seconds for the first datagram, hand it to the
+   handler as soon as it is read, then drain the rest.  The sleep is
+   inside [recvfrom] itself: the wake-up is the read, with no [select]
+   round trip before it, so the handler sees a lone datagram sooner.
+   A near deadline, or a socket that refuses a receive timeout, waits
+   in [select].  Returns whether any datagram was handled. *)
 let wait t ~timeout =
-  match Unix.select [ t.sock ] [] [] timeout with
-  | [], _, _ -> false
-  | _ -> drain t 0 > 0
+  if not (timeout >= select_below_s && set_rcvtimeo t timeout) then
+    match Unix.select [ t.sock ] [] [] timeout with
+    | [], _, _ -> false
+    | _ -> drain_nonblocking t 0 > 0
+  else
+    match Unix.recvfrom t.sock t.buf 0 max_datagram [] with
+    | len, peer -> drain_queued t (handle t len peer) > 0
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        false
 
 (* The [Transport.S] maintenance step: dispatch every datagram already
-   queued on the socket.  The socket is non-blocking, so this never
-   waits and needs no [select]. *)
-let poll t ~now:_ = ignore (drain t 0)
+   queued on the socket, without waiting. *)
+let poll t ~now:_ = ignore (drain_queued t 0)
 
 let close t = Unix.close t.sock

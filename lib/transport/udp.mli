@@ -4,8 +4,10 @@
     Socket buffers are sized from {!Wire.Layout.max_datagram} so a
     maximal legal frame is never truncated on receive.
 
-    The socket is non-blocking: a receive drains every queued datagram
-    with [recvfrom] until EAGAIN, and only {!wait} ever sleeps.  Packed
+    The socket is in blocking mode, so {!wait} sleeps inside [recvfrom]
+    itself.  A drain hands over every queued datagram with [recvfrom]
+    until EAGAIN, switching the socket to non-blocking mode for just
+    that drain, and only after [select] has seen one queued.  Packed
     addresses are translated to and from [Unix.sockaddr] through two
     caches (receive and send) of at most {!cache_cap} entries each. *)
 
@@ -28,18 +30,23 @@ val set_handler : t -> (src:int -> string -> unit) -> unit
 val local_addr : t -> int
 
 val wait : t -> timeout:float -> bool
-(** Block up to [timeout] seconds until the socket is readable, then
-    drain: hand every queued datagram to the handler, in arrival order.
-    Returns whether any arrived.  One [select] per call, however many
-    datagrams wait, so a receive loop needs no {!poll} after it.
+(** Block up to [timeout] seconds for a datagram, then drain: hand every
+    queued datagram to the handler, in arrival order, so a receive loop
+    needs no {!poll} after it.  The first is handed over as soon as it
+    is read, before the rest are received.  Returns whether any
+    arrived.  The sleep is a blocking [recvfrom] whose timeout is
+    [timeout] rounded down to the millisecond, which the kernel then
+    rounds up to its scheduler tick; a [timeout] under 10 ms sleeps in
+    [select] instead, to the microsecond.
     @raise Unix.Unix_error [EINTR] when a signal interrupts the
     sleep. *)
 
 val poll : t -> now:float -> unit
 (** The {!Transport.S} maintenance step: dispatch every datagram
-    already queued on the socket.  Never blocks and makes no [select]
-    ([now] is unused — the socket has no internal timers — but keeps
-    the uniform driver convention). *)
+    already queued on the socket.  Never blocks: one zero-timeout
+    [select], and a drain only if it saw a datagram ([now] is unused —
+    the socket has no internal timers — but keeps the uniform driver
+    convention). *)
 
 val close : t -> unit
 

@@ -78,6 +78,31 @@ let test_udp_wait_drains_burst () =
       Alcotest.(check int) "nothing more arrived" 48 (List.length !got);
       List.iter Transport.Udp.close (b :: senders)
 
+(* [wait] sleeps in a blocking [recvfrom] with a receive timeout (or in
+   [select] for deadlines under 10 ms).  Either way an empty wait ends
+   near its timeout, and a [poll] after it, on the socket left in
+   blocking mode, must not sit out a second receive timeout. *)
+let test_udp_wait_times_out () =
+  match Transport.Udp.create () with
+  | exception Unix.Unix_error _ -> ()
+  | b ->
+      List.iter
+        (fun timeout ->
+          let t0 = Unix.gettimeofday () in
+          Alcotest.(check bool) "empty wait reports nothing" false
+            (Transport.Udp.wait b ~timeout);
+          let slept = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "slept about %g s (%g s)" timeout slept)
+            true
+            (slept >= timeout *. 0.9 && slept < timeout +. 0.5);
+          let t1 = Unix.gettimeofday () in
+          Transport.Udp.poll b ~now:0.;
+          Alcotest.(check bool) "poll after the wait returns at once" true
+            (Unix.gettimeofday () -. t1 < 0.1))
+        [ 0.005; 0.2 ];
+      Transport.Udp.close b
+
 (* More distinct peers than an address cache holds, in each direction:
    every send still reaches the socket it names and every arrival still
    names its true source across the caches' resets.  All of 127/8 is
@@ -641,6 +666,8 @@ let () =
             test_udp_poll_drains;
           Alcotest.test_case "udp wait drains a burst" `Quick
             test_udp_wait_drains_burst;
+          Alcotest.test_case "udp wait times out, poll never blocks" `Quick
+            test_udp_wait_times_out;
           Alcotest.test_case "udp address caches reset" `Quick
             test_udp_address_cache_reset;
         ] );
